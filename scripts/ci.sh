@@ -20,10 +20,11 @@ JOBS="$(nproc)"
 # label subsets: ASan/UBSan take the whole suite (including the `resource`
 # label, whose soft-failure paths are exactly where leaks would hide); TSan
 # (the slowest) takes the concurrency-sensitive suites — the engine + fault +
-# dag + resource + session + solve labels (sessions coalesce solves across
-# threads and race refactorize against them; the solve label drains the
-# parallel solve DAG and races direct solves on the engine lock) and the
-# scheduler/determinism tests written for it.
+# dag + resource + session + solve + analyze labels (sessions coalesce solves
+# across threads and race refactorize against them; the solve label drains the
+# parallel solve DAG and races direct solves on the engine lock; the analyze
+# label runs nested dissection on pools, whose tasks write disjoint slices of
+# shared arrays) and the scheduler/determinism tests written for it.
 configure_and_build() { # <dir> <sanitize> [extra cmake args...]
   local dir="$1" sanitize="$2"
   shift 2
@@ -55,7 +56,7 @@ run_ubsan() {
 run_tsan() {
   configure_and_build build-ci-tsan thread
   ctest --test-dir build-ci-tsan --output-on-failure -j "$JOBS" \
-        -L 'engine|fault|dag|resource|session|solve'
+        -L 'engine|fault|dag|resource|session|solve|analyze'
   ctest --test-dir build-ci-tsan --output-on-failure -j "$JOBS" \
         -R 'thread_pool|ParallelDeterminism|Trace'
 }

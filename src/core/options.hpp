@@ -236,7 +236,10 @@ struct SolverOptions {
   /// or SVD. Read by every compressing strategy.
   lr::CompressionKind kind = lr::CompressionKind::Rrqr;
   real_t tolerance = 1e-8;  ///< block compression tolerance τ (default 1e-8); read by every compressing strategy
-  int threads = 1;          ///< worker threads for the numeric factorization (default 1 = sequential); read by every strategy
+  /// Worker threads (default 1 = sequential) for the numeric factorization,
+  /// read by every strategy, and for nested dissection in analyze(), whose
+  /// ordering is identical at any count (DESIGN.md §17).
+  int threads = 1;
 
   /// Parallel triangular-solve phase (default on; DESIGN.md §16). Solves
   /// drain the cached SolvePlan DAG over a dedicated solve pool — with

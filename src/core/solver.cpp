@@ -140,7 +140,11 @@ Solver::Solver(SolverOptions opts) : opts_(opts) {
 Solver::~Solver() = default;
 
 void Solver::analyze(const sparse::CscMatrix& a) {
-  plan_ = SymbolicPlan::build(a, opts_);
+  plan_ = SymbolicPlan::build(a, opts_, pool_.get());
+  // Fork helpers of nested dissection that found their half already taken
+  // may still sit in the queue; drain them so the factorization's scheduler
+  // counters start clean.
+  if (pool_) pool_->wait_idle();
   num_.reset();
   // A new pattern invalidates every piece of warm state.
   ranks_ = RankMemory{};
@@ -151,6 +155,7 @@ void Solver::analyze(const sparse::CscMatrix& a) {
 
   stats_ = SolverStats{};
   stats_.time_analyze = plan_->build_seconds;
+  stats_.analyze_phase = plan_->phases;
   stats_.n = a.rows();
   stats_.num_cblks = plan_->sf.num_cblks();
   stats_.num_bloks = plan_->sf.num_bloks();
@@ -579,7 +584,11 @@ void Solver::print_summary(std::ostream& os) const {
   }
   os << "  matrix        : n = " << stats_.n << ", " << stats_.num_cblks
      << " column blocks, " << stats_.num_bloks << " blocks\n"
-     << "  analyze       : " << stats_.time_analyze << " s\n";
+     << "  analyze       : " << stats_.time_analyze << " s (graph "
+     << stats_.analyze_phase.graph_seconds << ", ordering "
+     << stats_.analyze_phase.ordering_seconds << ", amalgamate "
+     << stats_.analyze_phase.amalgamate_seconds << ", split + symbolic "
+     << stats_.analyze_phase.symbolic_seconds << ")\n";
   if (!factorized()) {
     os << "  (not factorized yet)\n";
     return;

@@ -122,11 +122,21 @@ struct SolvePhaseStats {
   double gemm_seconds = 0;             ///< dispatch time in solve_gemm kernels
 };
 
+/// Wall-time breakdown of the analysis phase (SymbolicPlan::build); the
+/// parts sum to time_analyze up to the pattern fingerprint.
+struct AnalyzePhaseStats {
+  double graph_seconds = 0;       ///< adjacency graph of the pattern
+  double ordering_seconds = 0;    ///< nested dissection
+  double amalgamate_seconds = 0;  ///< supernode amalgamation
+  double symbolic_seconds = 0;    ///< supernode splitting + block symbolic factorization
+};
+
 /// Aggregate measurements of one solver run — the quantities the paper's
 /// tables and figures report.
 struct SolverStats {
   // Phase wall times (seconds).
   double time_analyze = 0;
+  AnalyzePhaseStats analyze_phase;  ///< time_analyze by sub-phase
   double time_factorize = 0;
   double time_solve = 0;
 

@@ -25,27 +25,38 @@ std::uint64_t SymbolicPlan::hash_pattern(const sparse::CscMatrix& a) {
 }
 
 std::shared_ptr<const SymbolicPlan> SymbolicPlan::build(
-    const sparse::CscMatrix& a, const SolverOptions& opts) {
+    const sparse::CscMatrix& a, const SolverOptions& opts, ThreadPool* pool) {
   BLR_CHECK(a.rows() == a.cols(), "solver requires a square matrix");
   if (opts.check_pattern) {
     BLR_CHECK(a.pattern_symmetric(),
               "the solver requires a symmetric nonzero pattern (symmetrize the "
               "matrix, e.g. by assembling A + Aᵗ's pattern, before factorizing)");
   }
+  auto plan = std::make_shared<SymbolicPlan>();
+  AnalyzePhaseStats& t = plan->phases;
+  const Timer total;
   Timer timer;
 
   const sparse::Graph g = sparse::Graph::from_matrix(a);
-  ordering::Ordering ord = ordering::nested_dissection(g, opts.nd);
-  std::vector<index_t> ranges = ord.ranges;
+  t.graph_seconds = timer.elapsed();
+  timer.reset();
+  plan->ord = ordering::nested_dissection(g, opts.nd, pool);
+  t.ordering_seconds = timer.elapsed();
+  timer.reset();
+  std::vector<index_t> ranges = plan->ord.ranges;
   if (opts.amalgamate) {
-    ranges = symbolic::amalgamate(a, ord, std::move(ranges), opts.amalgamation);
+    ranges = symbolic::amalgamate(a, plan->ord, std::move(ranges), opts.amalgamation);
   }
+  t.amalgamate_seconds = timer.elapsed();
+  timer.reset();
   ranges = symbolic::split_ranges(ranges, opts.split);
-  symbolic::SymbolicFactor sf = symbolic::SymbolicFactor::build(a, ord, ranges);
+  plan->sf = symbolic::SymbolicFactor::build(a, plan->ord, ranges);
+  t.symbolic_seconds = timer.elapsed();
 
-  auto plan = std::make_shared<SymbolicPlan>(SymbolicPlan{
-      std::move(ord), std::move(sf), a.rows(), a.nnz(), hash_pattern(a), 0.0});
-  plan->build_seconds = timer.elapsed();
+  plan->n = a.rows();
+  plan->nnz = a.nnz();
+  plan->pattern_hash = hash_pattern(a);
+  plan->build_seconds = total.elapsed();
   return plan;
 }
 

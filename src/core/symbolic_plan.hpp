@@ -5,9 +5,14 @@
 #include <mutex>
 
 #include "core/options.hpp"
+#include "core/stats.hpp"
 #include "ordering/ordering.hpp"
 #include "sparse/csc.hpp"
 #include "symbolic/symbolic.hpp"
+
+namespace blr {
+class ThreadPool;
+}
 
 namespace blr::core {
 
@@ -31,16 +36,19 @@ struct SymbolicPlan {
   index_t nnz = 0;               ///< pattern nonzero count
   std::uint64_t pattern_hash = 0;  ///< FNV-1a over colptr + rowind
   double build_seconds = 0;      ///< wall time of the analysis
+  AnalyzePhaseStats phases;      ///< build_seconds by sub-phase
 
   /// FNV-1a fingerprint of a sparse pattern (values ignored).
   static std::uint64_t hash_pattern(const sparse::CscMatrix& a);
 
   /// Run the analysis phase — nested dissection, amalgamation, supernode
   /// splitting, block symbolic factorization — under `opts` and freeze the
-  /// result. Throws blr::Error for non-square or (with opts.check_pattern)
-  /// pattern-asymmetric input.
+  /// result. With a `pool`, nested dissection runs on it; the plan is the
+  /// same either way. Throws blr::Error for non-square or (with
+  /// opts.check_pattern) pattern-asymmetric input.
   static std::shared_ptr<const SymbolicPlan> build(const sparse::CscMatrix& a,
-                                                   const SolverOptions& opts);
+                                                   const SolverOptions& opts,
+                                                   ThreadPool* pool = nullptr);
 
   /// Whether `a` has exactly the pattern this plan was built from.
   [[nodiscard]] bool matches(const sparse::CscMatrix& a) const {
@@ -57,8 +65,8 @@ struct SymbolicPlan {
   [[nodiscard]] std::shared_ptr<const SolvePlan> solve_plan(
       bool* built = nullptr) const;
 
-  // Lazy solve-plan cache (public only to keep the struct an aggregate for
-  // build()'s braced init — use solve_plan() above, never these directly).
+private:
+  // Lazy solve-plan cache behind solve_plan().
   mutable std::shared_ptr<const SolvePlan> solve_plan_cache_;
   mutable std::unique_ptr<std::mutex> solve_plan_mu_ =
       std::make_unique<std::mutex>();

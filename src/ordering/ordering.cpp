@@ -1,14 +1,21 @@
 #include "ordering/ordering.hpp"
 
 #include <algorithm>
-#include <functional>
+#include <exception>
+#include <mutex>
 #include <numeric>
 
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 
 namespace blr::ordering {
 
 namespace {
+
+/// Subgraphs at least this large fork their parts (the two halves, or the
+/// connected components) onto the pool; smaller ones recurse inline, where
+/// a task would cost more than it saves.
+constexpr index_t kParallelCutoff = 1024;
 
 /// BFS level of every vertex from `start`; returns (levels, farthest vertex,
 /// number of levels). Unreached vertices keep level -1.
@@ -16,30 +23,30 @@ struct BfsResult {
   std::vector<index_t> level;
   index_t farthest;
   index_t num_levels;
+  index_t reached;  ///< vertices reached; < |g| iff g is disconnected
 };
 
 BfsResult bfs_levels(const sparse::Graph& g, index_t start) {
   BfsResult r;
   r.level.assign(static_cast<std::size_t>(g.num_vertices()), -1);
-  std::vector<index_t> frontier{start};
+  std::vector<index_t> queue;
+  queue.reserve(static_cast<std::size_t>(g.num_vertices()));
+  queue.push_back(start);
   r.level[static_cast<std::size_t>(start)] = 0;
-  r.farthest = start;
-  index_t lvl = 0;
-  while (!frontier.empty()) {
-    std::vector<index_t> next;
-    for (const index_t v : frontier) {
-      for (const index_t* u = g.neighbors_begin(v); u != g.neighbors_end(v); ++u) {
-        if (r.level[static_cast<std::size_t>(*u)] < 0) {
-          r.level[static_cast<std::size_t>(*u)] = lvl + 1;
-          next.push_back(*u);
-        }
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const index_t v = queue[head];
+    const index_t next = r.level[static_cast<std::size_t>(v)] + 1;
+    for (const index_t* u = g.neighbors_begin(v); u != g.neighbors_end(v); ++u) {
+      if (r.level[static_cast<std::size_t>(*u)] < 0) {
+        r.level[static_cast<std::size_t>(*u)] = next;
+        queue.push_back(*u);
       }
     }
-    if (!next.empty()) r.farthest = next.back();
-    frontier = std::move(next);
-    ++lvl;
   }
-  r.num_levels = lvl;
+  // The last vertex queued sits on the deepest level.
+  r.farthest = queue.back();
+  r.num_levels = r.level[static_cast<std::size_t>(r.farthest)] + 1;
+  r.reached = static_cast<index_t>(queue.size());
   return r;
 }
 
@@ -68,37 +75,40 @@ std::vector<index_t> bfs_order(const sparse::Graph& g) {
   return order;
 }
 
-} // namespace
-
-Separator find_separator(const sparse::Graph& g, const NdOptions& opts) {
+/// find_separator() with the BFS from vertex 0 — the first source of the
+/// chase — already computed by the caller.
+Separator separate(const sparse::Graph& g, const NdOptions& opts, BfsResult from0) {
   const index_t n = g.num_vertices();
-  Separator best;
-  best.s.resize(static_cast<std::size_t>(n));  // worst case: everything separator
-  std::iota(best.s.begin(), best.s.end(), index_t{0});
-  index_t best_cost = n + 1;
-  double best_balance = 0.0;
 
-  // Candidate BFS sources: 0, then pseudo-peripheral chases.
+  // BFS sources: 0, then pseudo-peripheral chases. The level sets computed
+  // along the chase are the candidates scored below.
+  std::vector<BfsResult> bfs;
   std::vector<index_t> sources;
   index_t src = 0;
   for (int trial = 0; trial < opts.bfs_trials; ++trial) {
     if (std::find(sources.begin(), sources.end(), src) != sources.end()) break;
     sources.push_back(src);
-    src = bfs_levels(g, src).farthest;
+    bfs.push_back(trial == 0 ? std::move(from0) : bfs_levels(g, src));
+    src = bfs.back().farthest;
   }
 
-  for (const index_t s0 : sources) {
-    const BfsResult bfs = bfs_levels(g, s0);
-    if (bfs.num_levels < 3) continue;
+  // Best candidate so far: the level set `best_m` of BFS `best_src`.
+  index_t best_cost = n + 1;
+  double best_balance = 0.0;
+  std::size_t best_src = bfs.size();
+  index_t best_m = -1;
+  for (std::size_t i = 0; i < bfs.size(); ++i) {
+    const BfsResult& r = bfs[i];
+    if (r.num_levels < 3) continue;
     // Count vertices per level.
-    std::vector<index_t> count(static_cast<std::size_t>(bfs.num_levels), 0);
+    std::vector<index_t> count(static_cast<std::size_t>(r.num_levels), 0);
     // Unreached vertices (disconnected graph) keep level -1; they fall into
     // part A below (-1 < m for every candidate level), so skip them here.
-    for (const index_t l : bfs.level) {
+    for (const index_t l : r.level) {
       if (l >= 0) ++count[static_cast<std::size_t>(l)];
     }
     index_t below = count[0];
-    for (index_t m = 1; m + 1 < bfs.num_levels; ++m) {
+    for (index_t m = 1; m + 1 < r.num_levels; ++m) {
       const index_t ns = count[static_cast<std::size_t>(m)];
       const index_t na = below;
       const index_t nb = n - na - ns;
@@ -109,46 +119,48 @@ Separator find_separator(const sparse::Graph& g, const NdOptions& opts) {
       const bool feasible = balance >= opts.balance_frac;
       // Prefer feasible splits with the smallest separator; among infeasible
       // candidates keep the most balanced as a fallback.
-      if (feasible) {
-        if (ns < best_cost || (ns == best_cost && balance > best_balance)) {
-          best_cost = ns;
-          best_balance = balance;
-          best.a.clear();
-          best.b.clear();
-          best.s.clear();
-          for (index_t v = 0; v < n; ++v) {
-            const index_t l = bfs.level[static_cast<std::size_t>(v)];
-            if (l < m) best.a.push_back(v);
-            else if (l == m) best.s.push_back(v);
-            else best.b.push_back(v);
-          }
-        }
-      } else if (best_cost > n && balance > best_balance) {
-        best_balance = balance;
-        best.a.clear();
-        best.b.clear();
-        best.s.clear();
-        for (index_t v = 0; v < n; ++v) {
-          const index_t l = bfs.level[static_cast<std::size_t>(v)];
-          if (l < m) best.a.push_back(v);
-          else if (l == m) best.s.push_back(v);
-          else best.b.push_back(v);
-        }
-      }
+      const bool take =
+          feasible ? (ns < best_cost || (ns == best_cost && balance > best_balance))
+                   : (best_cost > n && balance > best_balance);
+      if (!take) continue;
+      if (feasible) best_cost = ns;
+      best_balance = balance;
+      best_src = i;
+      best_m = m;
     }
   }
 
-  if (best.a.empty() && best.b.empty()) return best;  // no split found
+  Separator best;
+  if (best_src == bfs.size()) {  // no split found: everything is separator
+    best.s.resize(static_cast<std::size_t>(n));
+    std::iota(best.s.begin(), best.s.end(), index_t{0});
+    return best;
+  }
+
+  std::vector<char> side(static_cast<std::size_t>(n));  // 0=A, 1=B, 2=S
+  std::size_t size_a = 0, size_b = 0;
+  for (index_t v = 0; v < n; ++v) {
+    const index_t l = bfs[best_src].level[static_cast<std::size_t>(v)];
+    if (l < best_m) {
+      side[static_cast<std::size_t>(v)] = 0;
+      ++size_a;
+    } else if (l == best_m) {
+      side[static_cast<std::size_t>(v)] = 2;
+      best.s.push_back(v);
+    } else {
+      side[static_cast<std::size_t>(v)] = 1;
+      ++size_b;
+    }
+  }
+  bfs.clear();
 
   // Shrink the separator: a separator vertex with no neighbor on one side
-  // can move to the other side without reconnecting A and B.
-  std::vector<char> side(static_cast<std::size_t>(n), 2);  // 0=A, 1=B, 2=S
-  for (const index_t v : best.a) side[static_cast<std::size_t>(v)] = 0;
-  for (const index_t v : best.b) side[static_cast<std::size_t>(v)] = 1;
+  // can move to the other side without reconnecting A and B. Vertices only
+  // leave S here, so sweeping the initial S list is a sweep over S.
   bool changed = true;
   while (changed) {
     changed = false;
-    for (index_t v = 0; v < n; ++v) {
+    for (const index_t v : best.s) {
       if (side[static_cast<std::size_t>(v)] != 2) continue;
       bool touches_a = false;
       bool touches_b = false;
@@ -159,7 +171,7 @@ Separator find_separator(const sparse::Graph& g, const NdOptions& opts) {
       }
       if (!touches_a && !touches_b) {
         // Isolated from both parts: put it on the smaller side.
-        side[static_cast<std::size_t>(v)] = (best.a.size() <= best.b.size()) ? 0 : 1;
+        side[static_cast<std::size_t>(v)] = (size_a <= size_b) ? 0 : 1;
         changed = true;
       } else if (!touches_b) {
         side[static_cast<std::size_t>(v)] = 0;
@@ -229,68 +241,179 @@ Separator find_separator(const sparse::Graph& g, const NdOptions& opts) {
   return best;
 }
 
-Ordering nested_dissection(const sparse::Graph& g, const NdOptions& opts) {
+/// A vertex subset with its induced subgraph; `global[local]` is the
+/// vertex id in the graph nested_dissection() was called on.
+struct Part {
+  sparse::Graph g;
+  std::vector<index_t> global;
+};
+
+/// Splits g by `label` (in [0, nparts) per vertex) into induced subgraphs,
+/// in one pass over g. Each part holds its vertices in ascending order, so
+/// its graph equals g.induced(that list): same numbering, same adjacency
+/// order. Unlike one induced() call per part, the cost is O(|g|) in total.
+std::vector<Part> split_parts(const sparse::Graph& g,
+                              const std::vector<index_t>& global,
+                              const std::vector<index_t>& label,
+                              index_t nparts) {
+  const index_t n = g.num_vertices();
+  std::vector<Part> parts(static_cast<std::size_t>(nparts));
+  std::vector<std::vector<index_t>> ptr(static_cast<std::size_t>(nparts),
+                                        std::vector<index_t>{0});
+  std::vector<std::vector<index_t>> adj(static_cast<std::size_t>(nparts));
+  std::vector<index_t> local(static_cast<std::size_t>(n));
+  for (index_t v = 0; v < n; ++v) {
+    auto& part = parts[static_cast<std::size_t>(label[static_cast<std::size_t>(v)])];
+    local[static_cast<std::size_t>(v)] = static_cast<index_t>(part.global.size());
+    part.global.push_back(global[static_cast<std::size_t>(v)]);
+  }
+  for (index_t v = 0; v < n; ++v) {
+    const index_t p = label[static_cast<std::size_t>(v)];
+    auto& list = adj[static_cast<std::size_t>(p)];
+    for (const index_t* u = g.neighbors_begin(v); u != g.neighbors_end(v); ++u) {
+      if (label[static_cast<std::size_t>(*u)] == p) list.push_back(local[static_cast<std::size_t>(*u)]);
+    }
+    ptr[static_cast<std::size_t>(p)].push_back(static_cast<index_t>(list.size()));
+  }
+  for (index_t p = 0; p < nparts; ++p) {
+    auto& part = parts[static_cast<std::size_t>(p)];
+    part.g = sparse::Graph(static_cast<index_t>(part.global.size()),
+                           std::move(ptr[static_cast<std::size_t>(p)]),
+                           std::move(adj[static_cast<std::size_t>(p)]));
+  }
+  return parts;
+}
+
+/// The recursion of nested_dissection(). Every call owns a preassigned
+/// slice of `perm` and writes exactly its own vertices there, so sibling
+/// subtrees may run concurrently and the result does not depend on which
+/// thread ran what (DESIGN.md §17).
+class Dissector {
+public:
+  Dissector(const NdOptions& opts, ThreadPool* pool, std::vector<index_t>& perm,
+            std::vector<char>& ends)
+      : opts_(opts), pool_(pool), perm_(perm), ends_(ends) {}
+
+  /// Orders the vertices of `g` into perm[off, off + |g|).
+  void dissect(const sparse::Graph& g, const std::vector<index_t>& global, index_t off) {
+    const index_t k = g.num_vertices();
+    if (k == 0) return;
+    if (k <= opts_.cmin) {
+      emit_supernode(g, global, off, true);
+      return;
+    }
+    // The BFS from vertex 0 starts the separator search and doubles as the
+    // connectivity test.
+    BfsResult from0 = bfs_levels(g, 0);
+    if (from0.reached < k) {
+      // Dissect each connected component independently, in component order.
+      const auto [comp, ncomp] = g.connected_components();
+      const std::vector<Part> parts = split_parts(g, global, comp, ncomp);
+      std::vector<index_t> offs(static_cast<std::size_t>(ncomp));
+      for (index_t c = 0; c < ncomp; ++c) {
+        offs[static_cast<std::size_t>(c)] = off;
+        off += parts[static_cast<std::size_t>(c)].g.num_vertices();
+      }
+      fork(k, ncomp, [&](index_t c) {
+        const Part& part = parts[static_cast<std::size_t>(c)];
+        dissect(part.g, part.global, offs[static_cast<std::size_t>(c)]);
+      });
+      return;
+    }
+    std::vector<index_t> side(static_cast<std::size_t>(k), 2);
+    {
+      const Separator sep = separate(g, opts_, std::move(from0));
+      if (sep.a.empty() || sep.b.empty()) {
+        emit_supernode(g, global, off, true);  // dense-ish subgraph, keep whole
+        return;
+      }
+      for (const index_t v : sep.a) side[static_cast<std::size_t>(v)] = 0;
+      for (const index_t v : sep.b) side[static_cast<std::size_t>(v)] = 1;
+    }
+    const std::vector<Part> parts = split_parts(g, global, side, 3);
+    const index_t na = parts[0].g.num_vertices();
+    const index_t nb = parts[1].g.num_vertices();
+    // A, then B, then the separator that splits them.
+    fork(k, 2, [&](index_t h) {
+      const Part& part = parts[static_cast<std::size_t>(h)];
+      dissect(part.g, part.global, h == 0 ? off : off + na);
+    });
+    emit_supernode(parts[2].g, parts[2].global, off + na + nb, opts_.reorder_separators);
+  }
+
+  /// Rethrows the first exception a pool task caught, if any.
+  void rethrow_failure() const {
+    if (failure_) std::rethrow_exception(failure_);
+  }
+
+private:
+  /// Runs f(0..count-1), on the pool when the subgraph is large enough.
+  template <typename F>
+  void fork(index_t size, index_t count, F&& f) {
+    if (pool_ == nullptr || size < kParallelCutoff) {
+      for (index_t i = 0; i < count; ++i) f(i);
+      return;
+    }
+    // An exception must not escape a pool task: keep the first one (an
+    // allocation failure on a huge graph) for nested_dissection() to rethrow.
+    pool_->parallel_for(count, [&](index_t i) {
+      try {
+        f(i);
+      } catch (...) {
+        const std::lock_guard lock(failure_mu_);
+        if (!failure_) failure_ = std::current_exception();
+      }
+    });
+  }
+
+  /// Emits one supernode holding all of `g`, ordered for locality.
+  void emit_supernode(const sparse::Graph& g, const std::vector<index_t>& global,
+                      index_t off, bool reorder) {
+    const index_t k = g.num_vertices();
+    if (k == 0) return;
+    auto* out = perm_.data() + off;
+    if (reorder && k > 2) {
+      for (const index_t local : bfs_order(g)) *out++ = global[static_cast<std::size_t>(local)];
+    } else {
+      std::copy(global.begin(), global.end(), out);
+    }
+    ends_[static_cast<std::size_t>(off + k)] = 1;
+  }
+
+  const NdOptions& opts_;
+  ThreadPool* pool_;
+  std::vector<index_t>& perm_;
+  std::vector<char>& ends_;  ///< ends_[i] = 1: a supernode ends at position i
+  std::mutex failure_mu_;
+  std::exception_ptr failure_;  ///< guarded by failure_mu_
+};
+
+} // namespace
+
+Separator find_separator(const sparse::Graph& g, const NdOptions& opts) {
+  if (g.num_vertices() == 0) return {};
+  return separate(g, opts, bfs_levels(g, 0));
+}
+
+Ordering nested_dissection(const sparse::Graph& g, const NdOptions& opts,
+                           ThreadPool* pool) {
   BLR_CHECK(opts.cmin >= 1, "cmin must be >= 1");
   const index_t n = g.num_vertices();
   Ordering out;
-  out.perm.reserve(static_cast<std::size_t>(n));
-  out.ranges.push_back(0);
-
-  // Emits one supernode holding `vertices` (global ids), ordered for locality.
-  const auto emit_supernode = [&](const std::vector<index_t>& vertices, bool reorder) {
-    if (vertices.empty()) return;
-    if (reorder && vertices.size() > 2) {
-      const sparse::Graph sub = g.induced(vertices);
-      for (const index_t local : bfs_order(sub)) {
-        out.perm.push_back(vertices[static_cast<std::size_t>(local)]);
-      }
-    } else {
-      out.perm.insert(out.perm.end(), vertices.begin(), vertices.end());
-    }
-    out.ranges.push_back(static_cast<index_t>(out.perm.size()));
-  };
-
-  const std::function<void(const std::vector<index_t>&)> dissect =
-      [&](const std::vector<index_t>& vertices) {
-        const index_t k = static_cast<index_t>(vertices.size());
-        if (k == 0) return;
-        if (k <= opts.cmin) {
-          emit_supernode(vertices, true);
-          return;
-        }
-        const sparse::Graph sub = g.induced(vertices);
-        const auto [comp, ncomp] = sub.connected_components();
-        if (ncomp > 1) {
-          // Dissect each connected component independently.
-          std::vector<std::vector<index_t>> groups(static_cast<std::size_t>(ncomp));
-          for (index_t v = 0; v < k; ++v) {
-            groups[static_cast<std::size_t>(comp[static_cast<std::size_t>(v)])].push_back(
-                vertices[static_cast<std::size_t>(v)]);
-          }
-          for (const auto& grp : groups) dissect(grp);
-          return;
-        }
-        const Separator sep = find_separator(sub, opts);
-        if (sep.a.empty() || sep.b.empty()) {
-          emit_supernode(vertices, true);  // dense-ish subgraph, keep whole
-          return;
-        }
-        const auto to_global = [&](const std::vector<index_t>& local) {
-          std::vector<index_t> glob(local.size());
-          for (std::size_t i = 0; i < local.size(); ++i)
-            glob[i] = vertices[static_cast<std::size_t>(local[i])];
-          return glob;
-        };
-        dissect(to_global(sep.a));
-        dissect(to_global(sep.b));
-        emit_supernode(to_global(sep.s), opts.reorder_separators);
-      };
+  out.perm.resize(static_cast<std::size_t>(n));
+  std::vector<char> ends(static_cast<std::size_t>(n) + 1, 0);
 
   std::vector<index_t> all(static_cast<std::size_t>(n));
   std::iota(all.begin(), all.end(), index_t{0});
-  dissect(all);
+  Dissector dissector(opts, pool, out.perm, ends);
+  dissector.dissect(g, all, 0);
+  dissector.rethrow_failure();
 
-  BLR_CHECK(static_cast<index_t>(out.perm.size()) == n, "ordering lost vertices");
+  out.ranges.push_back(0);
+  for (index_t i = 1; i <= n; ++i) {
+    if (ends[static_cast<std::size_t>(i)]) out.ranges.push_back(i);
+  }
+  BLR_CHECK(out.ranges.back() == n, "ordering lost vertices");
   out.iperm.resize(static_cast<std::size_t>(n));
   for (index_t i = 0; i < n; ++i)
     out.iperm[static_cast<std::size_t>(out.perm[static_cast<std::size_t>(i)])] = i;

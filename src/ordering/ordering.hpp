@@ -5,6 +5,10 @@
 #include "common/types.hpp"
 #include "sparse/graph.hpp"
 
+namespace blr {
+class ThreadPool;
+}
+
 namespace blr::ordering {
 
 /// Options controlling the nested-dissection ordering. Defaults mirror the
@@ -37,8 +41,12 @@ struct Ordering {
   }
 };
 
-/// Nested dissection of the adjacency graph.
-Ordering nested_dissection(const sparse::Graph& g, const NdOptions& opts = {});
+/// Nested dissection of the adjacency graph. Each recursion level costs
+/// O(edges) in total, and with a `pool` the two halves of every large
+/// enough subgraph are dissected concurrently. The result is identical with
+/// and without a pool, at any pool size (DESIGN.md §17).
+Ordering nested_dissection(const sparse::Graph& g, const NdOptions& opts = {},
+                           ThreadPool* pool = nullptr);
 
 /// Identity ordering with a single-supernode-per-chunk partition — baseline
 /// and debugging aid (terrible fill; tests only).

@@ -38,7 +38,10 @@ public:
   [[nodiscard]] const std::vector<index_t>& adj() const { return adj_; }
 
   /// Induced subgraph on `vertices` (local indices 0..k-1 follow the order
-  /// of `vertices`; the caller keeps the local->global map).
+  /// of `vertices`; the caller keeps the local->global map). Costs O(|g|)
+  /// whatever the size of `vertices`: it allocates and fills a global->local
+  /// map over all of this graph. Recursive callers should induce from the
+  /// parent subgraph, not from the root graph.
   [[nodiscard]] Graph induced(const std::vector<index_t>& vertices) const;
 
   /// Connected components; returns component id per vertex and the count.

@@ -1,7 +1,11 @@
-// Tests of supernode amalgamation: structural validity, fill budget, and
-// the performance-relevant effect (fewer, larger column blocks).
+// Tests of supernode amalgamation: structural validity, fill budget, the
+// performance-relevant effect (fewer, larger column blocks), and exact
+// agreement with a reference that rebuilds the symbolic structure every pass.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
 
 #include "ordering/ordering.hpp"
 #include "sparse/generators.hpp"
@@ -77,6 +81,77 @@ TEST(Amalgamation, SolverStillCorrectWithAmalgamation) {
     const auto x = solver.solve(b);
     EXPECT_LT(sparse::backward_error(a, x.data(), b.data()), 1e-6) << amal;
   }
+}
+
+// Reference amalgamation: the same greedy passes, but every pass reads a
+// freshly built SymbolicFactor instead of updating the structure in place.
+// amalgamate() must return exactly its ranges.
+std::vector<index_t> amalgamate_rebuilding(const CscMatrix& a, const ordering::Ordering& ord,
+                                           std::vector<index_t> ranges,
+                                           const AmalgamationOptions& opts) {
+  if (ranges.size() <= 2) return ranges;
+  const SymbolicFactor sf0 = SymbolicFactor::build(a, ord, ranges);
+  const double budget = opts.frat * static_cast<double>(sf0.factor_entries_lower());
+  double spent = 0;
+  for (int pass = 0; pass < opts.max_passes; ++pass) {
+    const SymbolicFactor sf = SymbolicFactor::build(a, ord, ranges);
+    const index_t ncblk = sf.num_cblks();
+    std::vector<char> merged_into_next(static_cast<std::size_t>(ncblk), 0);
+    bool any = false;
+    for (index_t k = 0; k + 1 < ncblk; ++k) {
+      if (merged_into_next[static_cast<std::size_t>(k)]) continue;
+      const Cblk& c = sf.cblk(k);
+      if (c.parent != k + 1) continue;
+      if (c.width() >= opts.min_width) continue;
+      const Cblk& p = sf.cblk(c.parent);
+      const double wc = static_cast<double>(c.width());
+      const double wp = static_cast<double>(p.width());
+      const double hc = static_cast<double>(c.height());
+      const double hp = static_cast<double>(p.height());
+      const double added = wc * (2 * wp + hp - hc);
+      if (spent + added > budget) continue;
+      spent += added;
+      merged_into_next[static_cast<std::size_t>(k)] = 1;
+      if (k + 2 < ncblk) merged_into_next[static_cast<std::size_t>(k + 1)] = 1;
+      any = true;
+      ranges.erase(std::find(ranges.begin(), ranges.end(), c.lcol));
+    }
+    if (!any) break;
+  }
+  return ranges;
+}
+
+TEST(Amalgamation, MatchesRebuildPerPassReference) {
+  std::vector<std::pair<std::string, CscMatrix>> cases;
+  cases.emplace_back("lap2d", sparse::laplacian_2d(48, 40));
+  cases.emplace_back("lap3d", sparse::laplacian_3d(13, 12, 11));
+  cases.emplace_back("convdiff", sparse::convection_diffusion_3d(12, 11, 13, 0.3));
+  cases.emplace_back("elasticity", sparse::elasticity_3d(7, 6, 8));
+  cases.emplace_back("hetpoisson", sparse::heterogeneous_poisson_3d(12, 13, 11, 4.0, 5));
+  int configs = 0;
+  int merged = 0;
+  for (const auto& [name, a] : cases) {
+    for (const index_t cmin : {4, 32}) {
+      ordering::NdOptions nd;
+      nd.cmin = cmin;
+      const auto ord = ordering::nested_dissection(sparse::Graph::from_matrix(a), nd);
+      for (const double frat : {0.0, 0.02, 0.08, 0.3, 1.0}) {
+        for (const index_t min_width : {8, 64, 256}) {
+          AmalgamationOptions opts;
+          opts.frat = frat;
+          opts.min_width = min_width;
+          const auto got = amalgamate(a, ord, ord.ranges, opts);
+          EXPECT_EQ(got, amalgamate_rebuilding(a, ord, ord.ranges, opts))
+              << name << " cmin=" << cmin << " frat=" << frat
+              << " min_width=" << min_width;
+          ++configs;
+          merged += got.size() < ord.ranges.size();
+        }
+      }
+    }
+  }
+  EXPECT_EQ(configs, 150);
+  EXPECT_GT(merged, 100);  // the comparison exercised real merging
 }
 
 } // namespace

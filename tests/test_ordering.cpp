@@ -1,11 +1,19 @@
 // Tests of the nested-dissection ordering: permutation validity, separator
-// correctness, supernode partition structure and fill reduction.
+// correctness, supernode partition structure, fill reduction, and the
+// pinned output that must not change with the implementation or the pool.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
 #include <numeric>
 #include <set>
+#include <sstream>
+#include <string>
 
+#include "common/thread_pool.hpp"
+#include "core/solver.hpp"
+#include "core/symbolic_plan.hpp"
 #include "ordering/ordering.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/graph.hpp"
@@ -180,6 +188,144 @@ TEST(FindSeparator, FmRefinementNeverWorsensSeparator) {
     EXPECT_EQ(s1.a.size() + s1.b.size() + s1.s.size(),
               static_cast<std::size_t>(g.num_vertices()));
   }
+}
+
+// ---- Pinned output ---------------------------------------------------------
+//
+// FNV-1a hashes of perm + ranges, recorded from the reference
+// implementation. Any change to the ordering — a rewrite of the recursion, a
+// different thread count — must reproduce them bit for bit.
+
+std::uint64_t ordering_hash(const Ordering& ord) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 0x100000001b3ull;
+  };
+  mix(ord.perm.size());
+  for (const index_t v : ord.perm) mix(static_cast<std::uint64_t>(v));
+  mix(ord.ranges.size());
+  for (const index_t v : ord.ranges) mix(static_cast<std::uint64_t>(v));
+  return h;
+}
+
+// A 2D grid, a 3D grid, five isolated vertices and a 3-vertex path, as one
+// block-diagonal matrix: nested dissection takes its components path.
+CscMatrix disconnected_matrix() {
+  const CscMatrix g2 = sparse::laplacian_2d(40, 40);
+  const CscMatrix g3 = sparse::laplacian_3d(12, 12, 12);
+  std::vector<sparse::Triplet> t;
+  index_t off = 0;
+  for (const CscMatrix* b : {&g2, &g3}) {
+    for (index_t j = 0; j < b->cols(); ++j) {
+      for (index_t p = b->colptr()[static_cast<std::size_t>(j)];
+           p < b->colptr()[static_cast<std::size_t>(j) + 1]; ++p) {
+        t.push_back({b->rowind()[static_cast<std::size_t>(p)] + off, j + off,
+                     b->values()[static_cast<std::size_t>(p)]});
+      }
+    }
+    off += b->rows();
+  }
+  for (index_t i = 0; i < 8; ++i) t.push_back({off + i, off + i, 1.0});
+  for (index_t i = 5; i < 7; ++i) {
+    t.push_back({off + i, off + i + 1, -0.5});
+    t.push_back({off + i + 1, off + i, -0.5});
+  }
+  off += 8;
+  return CscMatrix::from_triplets(off, off, std::move(t));
+}
+
+CscMatrix pinned_matrix(const std::string& name) {
+  if (name == "lap2d") return sparse::laplacian_2d(64, 48);
+  if (name == "lap3d") return sparse::laplacian_3d(16, 16, 16);
+  if (name == "convdiff") return sparse::convection_diffusion_3d(14, 12, 16, 0.3);
+  if (name == "elasticity") return sparse::elasticity_3d(8, 7, 9);
+  if (name == "hetpoisson") return sparse::heterogeneous_poisson_3d(15, 13, 11, 4.0, 3);
+  if (name == "disconnected") return disconnected_matrix();
+  return sparse::laplacian_2d(1, 1);  // "single": n = 1
+}
+
+struct PinnedOrdering {
+  const char* matrix;
+  index_t cmin;
+  std::uint64_t hash;
+};
+
+constexpr PinnedOrdering kPinned[] = {
+    {"lap2d", 4, 0x05905436a59f7dffull},         // n=3072, 1463 supernodes
+    {"lap2d", 32, 0x825533725bacb956ull},        // n=3072, 235
+    {"lap3d", 4, 0x6de113a212427278ull},         // n=4096, 2222
+    {"lap3d", 32, 0xa8d26ef19939c725ull},        // n=4096, 348
+    {"convdiff", 4, 0x53f7fc6335f4bf06ull},      // n=2688, 1438
+    {"convdiff", 32, 0x41f53953ecf84d1cull},     // n=2688, 225
+    {"elasticity", 4, 0x832e5af05faa9c11ull},    // n=1512, 783
+    {"elasticity", 32, 0x575f784338c31010ull},   // n=1512, 102
+    {"hetpoisson", 4, 0xfa75fc9b1f6b96d7ull},    // n=2145, 1135
+    {"hetpoisson", 32, 0xe9238a94030bf1dbull},   // n=2145, 172
+    {"disconnected", 4, 0xbc233c8b6b2c447bull},  // n=3336, 1632
+    {"disconnected", 32, 0xb91179a5ee9d8ef9ull}, // n=3336, 254
+    {"single", 4, 0xe96063aeb1ac7df5ull},        // n=1, 1
+    {"single", 32, 0xe96063aeb1ac7df5ull},       // n=1, 1
+};
+
+TEST(NestedDissectionPinned, SameOrderingWithAndWithoutPool) {
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  pools.push_back(nullptr);
+  for (const int threads : {2, 3, 8}) pools.push_back(std::make_unique<ThreadPool>(threads));
+  for (const PinnedOrdering& pin : kPinned) {
+    const CscMatrix a = pinned_matrix(pin.matrix);
+    const Graph g = Graph::from_matrix(a);
+    NdOptions opts;
+    opts.cmin = pin.cmin;
+    for (const auto& pool : pools) {
+      const Ordering ord = nested_dissection(g, opts, pool.get());
+      expect_valid_ordering(ord, a.rows());
+      EXPECT_EQ(ordering_hash(ord), pin.hash)
+          << pin.matrix << " cmin=" << pin.cmin
+          << " threads=" << (pool ? pool->size() : 0);
+    }
+  }
+}
+
+TEST(NestedDissectionPinned, AnalyzeIsThreadCountInvariant) {
+  // The whole analysis — ordering, amalgamation, split, symbolic structure —
+  // comes out the same on a pool; the Solver reports its sub-phase times.
+  const CscMatrix a = sparse::laplacian_3d(14, 14, 14);
+  core::SolverOptions opts;
+  const auto serial = core::SymbolicPlan::build(a, opts);
+  ThreadPool pool(4);
+  const auto parallel = core::SymbolicPlan::build(a, opts, &pool);
+  EXPECT_EQ(parallel->ord.perm, serial->ord.perm);
+  EXPECT_EQ(parallel->ord.ranges, serial->ord.ranges);
+  ASSERT_EQ(parallel->sf.num_cblks(), serial->sf.num_cblks());
+  for (index_t k = 0; k < serial->sf.num_cblks(); ++k) {
+    EXPECT_EQ(parallel->sf.cblk(k).fcol, serial->sf.cblk(k).fcol);
+    EXPECT_EQ(parallel->sf.cblk(k).parent, serial->sf.cblk(k).parent);
+    EXPECT_EQ(parallel->sf.cblk(k).bloks.size(), serial->sf.cblk(k).bloks.size());
+  }
+
+  opts.threads = 3;
+  core::Solver solver(opts);
+  solver.analyze(a);
+  EXPECT_EQ(solver.plan()->ord.perm, serial->ord.perm);
+  const core::SolverStats& st = solver.stats();
+  const core::AnalyzePhaseStats& ph = st.analyze_phase;
+  EXPECT_GT(ph.ordering_seconds, 0.0);
+  EXPECT_GT(ph.symbolic_seconds, 0.0);
+  EXPECT_LE(ph.graph_seconds + ph.ordering_seconds + ph.amalgamate_seconds +
+                ph.symbolic_seconds,
+            st.time_analyze);
+  std::ostringstream os;
+  solver.print_summary(os);
+  EXPECT_NE(os.str().find("ordering"), std::string::npos) << os.str();
+  EXPECT_NE(os.str().find("amalgamate"), std::string::npos) << os.str();
+}
+
+TEST(FindSeparator, EmptyGraphHasEmptySeparator) {
+  const Separator sep = find_separator(Graph{}, NdOptions{});
+  EXPECT_TRUE(sep.a.empty());
+  EXPECT_TRUE(sep.b.empty());
+  EXPECT_TRUE(sep.s.empty());
 }
 
 } // namespace
