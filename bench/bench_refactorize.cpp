@@ -12,8 +12,10 @@
 // feeds into scripts/bench_trajectory.py next to bench_kernels.json.
 // `--quick` shrinks the problem and repetitions and enforces structural
 // floors only (plan reused, buffers recycled, warm hints replayed — the
-// mechanisms behind "steady-state is cheaper", not wall-clock, which would
-// flake on loaded CI machines), exiting nonzero on violation.
+// mechanisms behind "steady-state is cheaper" — and grouped updates: dense
+// gemm calls bounded by the update groups, dense panel solves by the
+// supernodes; not wall-clock, which would flake on loaded CI machines),
+// exiting nonzero on violation.
 
 #include <algorithm>
 #include <cstdio>
@@ -104,6 +106,34 @@ int run(bool quick) {
     row.first_s = first.elapsed();
     row.analyze_s = solver.stats().time_analyze;
     const auto plan = solver.plan();
+
+    // Structural floors of the grouped updates (DESIGN.md §9): at most one
+    // dense gemm per (supernode, facing blok) group side and one dense
+    // panel solve per panel side of each supernode. Gemm only under JIT:
+    // its update targets stay dense until their own elimination, while
+    // Minimal Memory's low-rank targets take per-pair product + extend-add.
+    {
+      const symbolic::SymbolicFactor& sf = plan->sf;
+      const bool llt = solver.numeric().is_llt();
+      std::uint64_t group_sides = 0, panel_sides = 0;
+      for (const symbolic::Cblk& c : sf.cblks()) {
+        for (const symbolic::Blok& f : c.bloks)
+          group_sides += 1 + (!llt && c.bloks.back().fcblk > f.fcblk ? 1 : 0);
+        panel_sides += llt ? 1 : 2;
+      }
+      std::uint64_t gemm_ge = 0, trsm_ge = 0;
+      for (const core::DispatchCount& d : solver.stats().dispatch) {
+        if (d.kernel == "gemm[ge,ge]") gemm_ge = d.calls;
+        if (d.kernel == "trsm[ge]") trsm_ge = d.calls;
+      }
+      if (strategy == Strategy::JustInTime) {
+        require(gemm_ge <= group_sides,
+                "cold factorize issued more gemm[ge,ge] calls than update "
+                "groups");
+      }
+      require(trsm_ge <= panel_sides,
+              "cold factorize issued more trsm[ge] calls than panel sides");
+    }
 
     row.steady_s = 1e300;
     for (int s = 1; s <= steps; ++s) {

@@ -1,7 +1,9 @@
 #include "core/kernels_dispatch.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <exception>
+#include <memory>
 #include <mutex>
 
 #include "common/error.hpp"
@@ -91,15 +93,53 @@ std::uint64_t ctx_bytes(const KernelCtx& ctx) {
   if (ctx.a != nullptr) b += ctx.a->storage_bytes();
   if (ctx.b != nullptr) b += ctx.b->storage_bytes();
   if (ctx.c != nullptr) b += ctx.c->storage_bytes();
-  if (ctx.view.data != nullptr) {
+  if (ctx.segs != nullptr) {
+    // Grouped gemm: the destination is the target segments.
+    for (std::size_t i = 0; i < ctx.nsegs; ++i) {
+      b += static_cast<std::uint64_t>(ctx.segs[i].rows) *
+           static_cast<std::uint64_t>(ctx.segs[i].cols) * sizeof(real_t);
+    }
+  } else if (ctx.view.data != nullptr) {
     b += static_cast<std::uint64_t>(ctx.view.rows) *
          static_cast<std::uint64_t>(ctx.view.cols) * sizeof(real_t);
   }
-  if (ctx.in.data != nullptr) {
-    b += static_cast<std::uint64_t>(ctx.in.rows) *
-         static_cast<std::uint64_t>(ctx.in.cols) * sizeof(real_t);
+  for (const la::DConstView* v : {&ctx.in, &ctx.ga, &ctx.gb}) {
+    if (v->data != nullptr) {
+      b += static_cast<std::uint64_t>(v->rows) *
+           static_cast<std::uint64_t>(v->cols) * sizeof(real_t);
+    }
   }
   return b;
+}
+
+/// Flops of one call, modeled from the operand shapes: the dense
+/// factorizations, panel solves and the dense gemm. Low-rank products and
+/// extend-adds have rank-dependent inner structure and record 0.
+std::uint64_t ctx_flops(KernelOp op, const KernelCtx& ctx) {
+  const auto u = [](index_t x) { return static_cast<std::uint64_t>(x); };
+  switch (op) {
+    case KernelOp::Potrf:
+    case KernelOp::Getrf: {
+      const std::uint64_t n = u(ctx.c->rows());
+      return (op == KernelOp::Potrf ? 1 : 2) * n * n * n / 3;
+    }
+    case KernelOp::Trsm: {
+      // Right-side solve of m rows against a w×w triangle: m·w² flops; a
+      // low-rank tile solves its w×r factor V from the left: r·w².
+      const std::uint64_t w = u(ctx.diag->rows());
+      if (ctx.view.data != nullptr) return u(ctx.view.rows) * w * w;
+      if (!ctx.c->is_lowrank()) return u(ctx.c->rows()) * w * w;
+      return u(ctx.c->rank()) * w * w;
+    }
+    case KernelOp::Gemm:
+      if (ctx.view.data != nullptr || ctx.segs != nullptr)
+        return 2 * u(ctx.ga.rows) * u(ctx.gb.rows) * u(ctx.ga.cols);
+      if (!ctx.a->is_lowrank() && !ctx.b->is_lowrank())
+        return 2 * u(ctx.a->rows()) * u(ctx.b->rows()) * u(ctx.a->cols());
+      return 0;
+    default:
+      return 0;
+  }
 }
 
 // ---- built-in kernels ----------------------------------------------------
@@ -118,14 +158,16 @@ void k_potrf(KernelCtx& ctx) { ctx.info = la::potrf(ctx.c->dense().view()); }
 
 void k_trsm_dense(KernelCtx& ctx) {
   const la::DConstView diag = ctx.diag->cview();
-  la::DMatrix& d = ctx.c->dense();
+  // One tile, or a packed image of several tiles' rows (grouped panel solve).
+  const la::DView d =
+      ctx.view.data != nullptr ? ctx.view : ctx.c->dense().view();
   if (!ctx.upper) {
     if (ctx.llt) {
       la::trsm(la::Side::Right, la::Uplo::Lower, la::Trans::Yes,
-               la::Diag::NonUnit, real_t(1), diag, d.view());
+               la::Diag::NonUnit, real_t(1), diag, d);
     } else {
       la::trsm(la::Side::Right, la::Uplo::Upper, la::Trans::No,
-               la::Diag::NonUnit, real_t(1), diag, d.view());
+               la::Diag::NonUnit, real_t(1), diag, d);
     }
     return;
   }
@@ -134,12 +176,12 @@ void k_trsm_dense(KernelCtx& ctx) {
   for (std::size_t j = 0; j < ctx.piv->size(); ++j) {
     const index_t p = (*ctx.piv)[j];
     if (p != static_cast<index_t>(j)) {
-      for (index_t r = 0; r < d.rows(); ++r)
+      for (index_t r = 0; r < d.rows; ++r)
         std::swap(d(r, static_cast<index_t>(j)), d(r, p));
     }
   }
   la::trsm(la::Side::Right, la::Uplo::Lower, la::Trans::Yes, la::Diag::Unit,
-           real_t(1), diag, d.view());
+           real_t(1), diag, d);
 }
 
 void k_trsm_lowrank(KernelCtx& ctx) {
@@ -167,22 +209,64 @@ void k_trsm_lowrank(KernelCtx& ctx) {
            real_t(1), diag, v.view());
 }
 
-void k_gemm_dense(KernelCtx& ctx) {
-  if (ctx.view.data != nullptr) {
-    // Fused: subtract A·Bᵗ (or its transpose, B·Aᵗ) straight into the view.
-    if (ctx.transpose) {
-      la::gemm(la::Trans::No, la::Trans::Yes, real_t(-1),
-               ctx.b->dense().cview(), ctx.a->dense().cview(), real_t(1),
-               ctx.view);
-    } else {
-      la::gemm(la::Trans::No, la::Trans::Yes, real_t(-1),
-               ctx.a->dense().cview(), ctx.b->dense().cview(), real_t(1),
-               ctx.view);
+/// Copy the next m rows of the concatenated target segments into `buf`
+/// (gather) or back out of it (scatter), from segment cursor (seg, off).
+/// The cursor is taken by value: the caller advances it after the scatter.
+void walk_segments(const la::DView* segs, std::size_t seg, index_t off,
+                   index_t m, la::DView buf, bool gather) {
+  for (index_t done = 0; done < m;) {
+    const la::DView& sg = segs[seg];
+    const index_t take = std::min(m - done, sg.rows - off);
+    const la::DView piece = sg.sub(off, 0, take, sg.cols);
+    const la::DView slot = buf.sub(done, 0, take, sg.cols);
+    if (gather) la::copy<real_t>(piece, slot);
+    else la::copy<real_t>(slot, piece);
+    done += take;
+    off += take;
+    if (off == sg.rows) {
+      ++seg;
+      off = 0;
     }
+  }
+}
+
+void k_gemm_dense(KernelCtx& ctx) {
+  if (ctx.view.data == nullptr && ctx.segs == nullptr) {
+    ctx.out = lr::ab_t_product(*ctx.a, *ctx.b, ctx.kind, ctx.tolerance,
+                               ctx.need_ortho, ctx.out_cat);
     return;
   }
-  ctx.out = lr::ab_t_product(*ctx.a, *ctx.b, ctx.kind, ctx.tolerance,
-                             ctx.need_ortho, ctx.out_cat);
+  // Fused: subtract ga·gbᵗ from the target, one row chunk at a time.
+  const index_t n = ctx.gb.rows;
+  const index_t chunk = std::min(dispatch::kFusedGemmRows, ctx.ga.rows);
+  std::unique_ptr<real_t[]> wbuf;
+  TrackedAlloc wtrack;
+  if (ctx.segs != nullptr) {
+    const std::size_t count =
+        static_cast<std::size_t>(chunk) * static_cast<std::size_t>(n);
+    wtrack = TrackedAlloc(MemCategory::Workspace, count * sizeof(real_t));
+    wbuf.reset(new real_t[count]);
+  }
+  std::size_t seg = 0;
+  index_t off = 0;
+  for (index_t r = 0; r < ctx.ga.rows; r += chunk) {
+    const index_t m = std::min(chunk, ctx.ga.rows - r);
+    const la::DConstView a = ctx.ga.sub(r, 0, m, ctx.ga.cols);
+    if (ctx.segs == nullptr) {
+      la::gemm(la::Trans::No, la::Trans::Yes, real_t(-1), a, ctx.gb, real_t(1),
+               ctx.view.sub(r, 0, m, n));
+      continue;
+    }
+    // Grouped: the gemm accumulates into the gathered target values, so
+    // each element sees the per-pair call's exact operation sequence.
+    const la::DView w(wbuf.get(), m, n, m);
+    walk_segments(ctx.segs, seg, off, m, w, /*gather=*/true);
+    la::gemm(la::Trans::No, la::Trans::Yes, real_t(-1), a, ctx.gb, real_t(1),
+             w);
+    walk_segments(ctx.segs, seg, off, m, w, /*gather=*/false);
+    for (off += m; seg < ctx.nsegs && off >= ctx.segs[seg].rows;)
+      off -= ctx.segs[seg++].rows;
+  }
 }
 
 void k_gemm_lr(KernelCtx& ctx) {
@@ -419,6 +503,7 @@ void KernelDispatch::run(KernelOp op, Rep a, Prec pa, Rep b, Prec pb,
   }
   e.calls.fetch_add(1, std::memory_order_relaxed);
   e.bytes.fetch_add(ctx_bytes(ctx), std::memory_order_relaxed);
+  e.flops.fetch_add(ctx_flops(op, ctx), std::memory_order_relaxed);
   const auto t0 = std::chrono::steady_clock::now();
   e.fn(ctx);
   const auto ns = static_cast<std::uint64_t>(
@@ -437,11 +522,15 @@ void KernelDispatch::run_batch(KernelOp op, Rep a, Prec pa, Rep b, Prec pb,
   if (e.fn == nullptr) {
     throw Error(std::string("no kernel registered for ") + kernel_op_name(op));
   }
-  std::uint64_t bytes = 0;
-  for (std::size_t i = 0; i < count; ++i) bytes += ctx_bytes(*items[i]);
+  std::uint64_t bytes = 0, flops = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    bytes += ctx_bytes(*items[i]);
+    flops += ctx_flops(op, *items[i]);
+  }
   e.batched.fetch_add(count, std::memory_order_relaxed);
   e.batch_invocations.fetch_add(1, std::memory_order_relaxed);
   e.bytes.fetch_add(bytes, std::memory_order_relaxed);
+  e.flops.fetch_add(flops, std::memory_order_relaxed);
 
   // Shape buckets: consecutive equal-shape runs, each further split to at
   // most `chunk_max` entries so one oversized bucket still spreads across
@@ -545,6 +634,7 @@ std::vector<DispatchCount> KernelDispatch::snapshot() const {
     d.batch_invocations =
         e->batch_invocations.load(std::memory_order_relaxed);
     d.bytes = e->bytes.load(std::memory_order_relaxed);
+    d.flops = e->flops.load(std::memory_order_relaxed);
     d.seconds =
         static_cast<double>(e->nanos.load(std::memory_order_relaxed)) * 1e-9;
     out.push_back(std::move(d));
@@ -561,6 +651,7 @@ void KernelDispatch::reset_counters() {
             for (auto& e : reps_b) {
               e.calls.store(0, std::memory_order_relaxed);
               e.bytes.store(0, std::memory_order_relaxed);
+              e.flops.store(0, std::memory_order_relaxed);
               e.nanos.store(0, std::memory_order_relaxed);
               e.batched.store(0, std::memory_order_relaxed);
               e.batch_invocations.store(0, std::memory_order_relaxed);
@@ -599,6 +690,18 @@ void panel_solve(const lr::Tile& diag, const std::vector<index_t>& piv,
                                  Rep::None, Prec::Fp64, ctx);
 }
 
+void panel_solve(const lr::Tile& diag, const std::vector<index_t>& piv,
+                 la::DView rows, bool llt, bool upper) {
+  KernelCtx ctx;
+  ctx.view = rows;
+  ctx.diag = &diag.dense();
+  ctx.piv = const_cast<std::vector<index_t>*>(&piv);
+  ctx.llt = llt;
+  ctx.upper = upper;
+  KernelDispatch::instance().run(KernelOp::Trsm, Rep::Dense, Prec::Fp64,
+                                 Rep::None, Prec::Fp64, ctx);
+}
+
 lr::Tile product(const lr::Tile& a, const lr::Tile& b, lr::CompressionKind kind,
                  real_t tol, bool need_ortho) {
   KernelCtx ctx;
@@ -613,13 +716,22 @@ lr::Tile product(const lr::Tile& a, const lr::Tile& b, lr::CompressionKind kind,
   return std::move(ctx.out);
 }
 
-void gemm_into(la::DView target, const lr::Tile& a, const lr::Tile& b,
-               bool transpose) {
+void gemm_into(la::DView target, la::DConstView a, la::DConstView b) {
   KernelCtx ctx;
-  ctx.a = &a;
-  ctx.b = &b;
+  ctx.ga = a;
+  ctx.gb = b;
   ctx.view = target;
-  ctx.transpose = transpose;
+  KernelDispatch::instance().run(KernelOp::Gemm, Rep::Dense, Prec::Fp64,
+                                 Rep::Dense, Prec::Fp64, ctx);
+}
+
+void gemm_into_segments(const la::DView* segs, std::size_t n, la::DConstView a,
+                        la::DConstView b) {
+  KernelCtx ctx;
+  ctx.ga = a;
+  ctx.gb = b;
+  ctx.segs = segs;
+  ctx.nsegs = n;
   KernelDispatch::instance().run(KernelOp::Gemm, Rep::Dense, Prec::Fp64,
                                  Rep::Dense, Prec::Fp64, ctx);
 }

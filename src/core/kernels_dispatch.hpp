@@ -21,7 +21,8 @@ namespace blr::core {
 enum class KernelOp : int {
   Getrf,     ///< diagonal-block LU (partial or static pivoting)
   Potrf,     ///< diagonal-block Cholesky
-  Trsm,      ///< panel solve of one off-diagonal tile against the diagonal
+  Trsm,      ///< panel solve of one off-diagonal tile (or of a packed image
+             ///< of a panel's dense tiles) against the diagonal
   Gemm,      ///< contribution product P = A·Bᵗ (fused in-place when dense)
   Lr2Lr,     ///< extend-add of a contribution into a low-rank tile (§3.3.2)
   Lr2Ge,     ///< extend-add of a contribution into dense storage
@@ -59,7 +60,13 @@ struct KernelCtx {
   lr::Tile* c = nullptr;        ///< in-out tile (diag, panel blok, EA target)
   const lr::Tile* a = nullptr;  ///< left operand / contribution
   const lr::Tile* b = nullptr;  ///< right operand
-  la::DView view;               ///< positioned dense destination (fused paths)
+  la::DView view;               ///< positioned dense destination (fused paths);
+                                ///< Trsm: a packed dense panel image (DESIGN.md §9)
+  la::DConstView ga, gb;        ///< dense operands of the fused Gemm:
+                                ///< view -= ga·gbᵗ
+  const la::DView* segs = nullptr;  ///< grouped fused Gemm: the rows of
+  std::size_t nsegs = 0;            ///< ga·gbᵗ land in these target segments
+                                    ///< in order (`view` unused)
   la::DConstView in;            ///< dense input (Compress, SolveGemm)
   la::DConstView su, sv;        ///< positioned low-rank factors (SolveGemm):
                                 ///< view -= su·(svᵗ·in), always fp64 (fp32
@@ -165,6 +172,7 @@ private:
     KernelFn fn = nullptr;
     std::atomic<std::uint64_t> calls{0};  ///< eager (non-batched) calls
     std::atomic<std::uint64_t> bytes{0};
+    std::atomic<std::uint64_t> flops{0};
     std::atomic<std::uint64_t> nanos{0};
     std::atomic<std::uint64_t> batched{0};            ///< calls run in batches
     std::atomic<std::uint64_t> batch_invocations{0};  ///< run_batch() calls
@@ -205,13 +213,31 @@ index_t factor_diag(lr::Tile& diag, std::vector<index_t>& piv, bool llt,
 void panel_solve(const lr::Tile& diag, const std::vector<index_t>& piv,
                  lr::Tile& blk, bool llt, bool upper);
 
+/// The same solve on a packed image of dense panel rows (one trsm[ge] call
+/// for the whole image; the rows of a right-side solve are independent, so
+/// each row's bits match its per-tile solve).
+void panel_solve(const lr::Tile& diag, const std::vector<index_t>& piv,
+                 la::DView rows, bool llt, bool upper);
+
 /// Contribution product P = A·Bᵗ as a Workspace tile.
 lr::Tile product(const lr::Tile& a, const lr::Tile& b, lr::CompressionKind kind,
                  real_t tol, bool need_ortho);
 
-/// Fused dense×dense update: target -= A·Bᵗ (or B·Aᵗ when `transpose`).
-void gemm_into(la::DView target, const lr::Tile& a, const lr::Tile& b,
-               bool transpose);
+/// Fused dense update: target -= A·Bᵗ. Per-pair callers pass two dense
+/// tiles; the grouped update passes a run of packed panel rows as A.
+void gemm_into(la::DView target, la::DConstView a, la::DConstView b);
+
+/// Row chunk of the fused gemm: la::gemm packs all of A per call, so tall
+/// runs are processed kFusedGemmRows rows at a time to bound that per-thread
+/// copy and the gather buffer. Rows are independent: chunking changes no bit.
+constexpr index_t kFusedGemmRows = 512;
+
+/// Grouped form of gemm_into (DESIGN.md §9): the rows of A·Bᵗ land in the
+/// target segments `segs[0..n)` in order (each B.rows() wide). One call:
+/// each row chunk is gathered into a Workspace-charged buffer, updated by
+/// one gemm against the gathered target values, and scattered back.
+void gemm_into_segments(const la::DView* segs, std::size_t n, la::DConstView a,
+                        la::DConstView b);
 
 /// LR2GE onto a positioned dense view: target -= P (or Pᵗ).
 void apply_contribution(la::DView target, const lr::Tile& p, bool transpose);

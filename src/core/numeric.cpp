@@ -414,17 +414,13 @@ void NumericFactor::factorize(ThreadPool* pool) {
     return;
   }
 
-  // Dependency counters: one per incoming block update.
+  // Dependency counters: one per incoming update group (k, f), i.e. one
+  // per blok facing the target — O(Σ nb), drained once per group.
   for (auto& d : deps_) d.store(0, std::memory_order_relaxed);
   for (index_t k = 0; k < ncblk; ++k) {
-    const auto& bloks = sf_.cblk(k).bloks;
-    const index_t nb = static_cast<index_t>(bloks.size());
-    for (index_t j = 0; j < nb; ++j) {
-      for (index_t i = llt_ ? j : 0; i < nb; ++i) {
-        const index_t t = std::min(bloks[static_cast<std::size_t>(i)].fcblk,
-                                   bloks[static_cast<std::size_t>(j)].fcblk);
-        deps_[static_cast<std::size_t>(t)].fetch_add(1, std::memory_order_relaxed);
-      }
+    for (const symbolic::Blok& b : sf_.cblk(k).bloks) {
+      deps_[static_cast<std::size_t>(b.fcblk)].fetch_add(
+          1, std::memory_order_relaxed);
     }
   }
 
@@ -465,25 +461,21 @@ void NumericFactor::factorize(ThreadPool* pool) {
 }
 
 void NumericFactor::factorize_left_looking() {
-  // For each target, the list of (source supernode, row blok, col blok)
-  // updates it receives; built once from the same pair enumeration the
-  // right-looking schedule uses.
+  // For each target, the update groups (source supernode, facing blok) it
+  // receives, in the right-looking schedule's (k, f) order.
   struct Update {
-    index_t k, bi, bj;
+    index_t k, f;
   };
   const index_t ncblk = sf_.num_cblks();
   std::vector<std::vector<Update>> incoming(static_cast<std::size_t>(ncblk));
   for (index_t k = 0; k < ncblk; ++k) {
     const auto& bloks = sf_.cblk(k).bloks;
-    const index_t nb = static_cast<index_t>(bloks.size());
-    for (index_t j = 0; j < nb; ++j) {
-      for (index_t i = llt_ ? j : 0; i < nb; ++i) {
-        const index_t t = std::min(bloks[static_cast<std::size_t>(i)].fcblk,
-                                   bloks[static_cast<std::size_t>(j)].fcblk);
-        incoming[static_cast<std::size_t>(t)].push_back({k, i, j});
-      }
+    for (index_t f = 0; f < static_cast<index_t>(bloks.size()); ++f) {
+      const index_t t = bloks[static_cast<std::size_t>(f)].fcblk;
+      incoming[static_cast<std::size_t>(t)].push_back({k, f});
     }
   }
+  std::vector<GroupPair> pairs;
 
   for (index_t k = 0; k < ncblk; ++k) {
     const double t0 = opts_.collect_trace ? trace_clock_.elapsed() : 0.0;
@@ -491,12 +483,15 @@ void NumericFactor::factorize_left_looking() {
       // Allocate and assemble this supernode only now — the memory gain of
       // the left-looking schedule (paper §4.3).
       assemble_cblk(k);
+      PanelImage img;
       for (const Update& u : incoming[static_cast<std::size_t>(k)]) {
-        apply_update(u.k, u.bi, u.bj);
+        pairs.clear();
+        collect_group(u.k, u.f, pairs);
+        apply_group(u.k, u.f, pairs.data(), pairs.size(), img);
       }
       incoming[static_cast<std::size_t>(k)].clear();
       incoming[static_cast<std::size_t>(k)].shrink_to_fit();
-      factor_panel(k);
+      factor_panel(k, img);
     } catch (ResourceError& e) {
       // Sequential schedule: stamp and propagate straight to the ladder.
       stamp_resource(e.report(), k);
@@ -769,10 +764,11 @@ void NumericFactor::dag_apply(const DagTask& t) {
   // runtime-checked half of the Tile state contract at DAG granularity.
   epochs_->expect(taddr, EpochGate::kAssembled);
   if (slot->zero) return;
+  std::lock_guard guard(locks_[static_cast<std::size_t>(loc.tcblk)]);
   if (slot->dense_pair) {
-    dense_dense_update(loc, *slot->a, *slot->b);
+    dense_pair_locked(loc, *slot->a, *slot->b);
   } else {
-    finish_update(loc, std::move(slot->prod));
+    finish_update_locked(loc, std::move(slot->prod));
   }
 }
 
@@ -780,13 +776,16 @@ void NumericFactor::eliminate(index_t k) {
   if (failed_.load(std::memory_order_relaxed)) return;
   const double t0 = opts_.collect_trace ? trace_clock_.elapsed() : 0.0;
   try {
-    factor_panel(k);
+    // k's factored dense panel, read by every update segment of k.
+    const auto img = std::make_shared<PanelImage>();
+    factor_panel(k, *img);
 
     // Right-looking updates on the trailing supernodes. Large panels are
-    // split into 1D column-blok segments submitted as subtasks, so the
-    // updates of one huge supernode spread across the pool instead of
-    // pinning a single worker (work-stealing scheduler only: a subtask
-    // storm on the shared queue just adds contention).
+    // split into segments of facing bloks (whole update groups, DESIGN.md
+    // §9) submitted as subtasks, so the updates of one huge supernode
+    // spread across the pool instead of pinning a single worker
+    // (work-stealing scheduler only: a subtask storm on the shared queue
+    // just adds contention).
     const symbolic::Cblk& c = sf_.cblk(k);
     const index_t nb = static_cast<index_t>(c.bloks.size());
     const bool split = pool_ != nullptr &&
@@ -794,7 +793,7 @@ void NumericFactor::eliminate(index_t k) {
                        opts_.panel_split_rows > 0 && nb >= 2 &&
                        c.height() >= opts_.panel_split_rows;
     if (!split) {
-      update_range(k, 0, nb);
+      update_range(k, 0, nb, *img);
     } else {
       const index_t height = c.height();
       index_t nseg = std::min<index_t>(
@@ -811,9 +810,10 @@ void NumericFactor::eliminate(index_t k) {
         if (acc >= per || j == nb - 1) {
           const index_t je = j + 1;
           if (jb == 0 && je == nb) {
-            update_range(k, 0, nb);  // degenerate single segment
+            update_range(k, 0, nb, *img);  // degenerate single segment
           } else {
-            pool_->submit([this, k, jb, je] { update_range(k, jb, je); }, pr);
+            pool_->submit(
+                [this, k, jb, je, img] { update_range(k, jb, je, *img); }, pr);
           }
           jb = je;
           acc = 0;
@@ -838,31 +838,24 @@ void NumericFactor::eliminate(index_t k) {
   }
 }
 
-void NumericFactor::update_range(index_t k, index_t jb, index_t je) {
+void NumericFactor::update_range(index_t k, index_t jb, index_t je,
+                                 PanelImage& img) {
   if (failed_.load(std::memory_order_relaxed)) return;
   if (opts_.batching == Batching::PerSupernode) {
-    update_range_batched(k, jb, je);
+    update_range_batched(k, jb, je, img);
     return;
   }
   try {
-    const symbolic::Cblk& c = sf_.cblk(k);
-    const index_t nb = static_cast<index_t>(c.bloks.size());
-    const auto& prio = sf_.critical_priorities();
-    for (index_t j = jb; j < je; ++j) {
-      for (index_t i = llt_ ? j : 0; i < nb; ++i) {
-        // Early exit at block-update granularity: once a sibling failed the
-        // remaining updates are dead work on a doomed factorization.
-        if (failed_.load(std::memory_order_relaxed)) return;
-        poll_deadline(k);
-        const index_t target = apply_update(k, i, j);
-        const index_t left =
-            deps_[static_cast<std::size_t>(target)].fetch_sub(1,
-                                                              std::memory_order_acq_rel) - 1;
-        if (left == 0 && pool_ != nullptr) {
-          pool_->submit([this, target] { eliminate(target); },
-                        prio[static_cast<std::size_t>(target)]);
-        }
-      }
+    std::vector<GroupPair> pairs;
+    for (index_t f = jb; f < je; ++f) {
+      // Early exit at group granularity: once a sibling failed the
+      // remaining updates are dead work on a doomed factorization.
+      if (failed_.load(std::memory_order_relaxed)) return;
+      poll_deadline(k);
+      pairs.clear();
+      const index_t target = collect_group(k, f, pairs);
+      apply_group(k, f, pairs.data(), pairs.size(), img);
+      release_group(target);
     }
   } catch (ResourceError& e) {
     stamp_resource(e.report(), k);
@@ -875,94 +868,62 @@ void NumericFactor::update_range(index_t k, index_t jb, index_t je) {
   }
 }
 
-void NumericFactor::update_range_batched(index_t k, index_t jb, index_t je) {
+void NumericFactor::update_range_batched(index_t k, index_t jb, index_t je,
+                                         PanelImage& img) {
   try {
+    // Phase 1: collect every group of the range, then enqueue the low-rank-
+    // operand contribution products (after the last push, so the pointers
+    // the completions capture stay valid). The operands are factored tiles
+    // of supernode k (immutable from here on), so the products are
+    // independent and free of the target locks — exactly what run_batch
+    // requires. Dense pairs are NOT pre-batched: they fuse into the target,
+    // whose representation can change under the lock before the apply
+    // phase.
     const symbolic::Cblk& c = sf_.cblk(k);
-    const index_t nb = static_cast<index_t>(c.bloks.size());
-    CblkData& cd = data_[static_cast<std::size_t>(k)];
-    const auto& prio = sf_.critical_priorities();
-
-    // Phase 1: locate every update of the range and enqueue the contribution
-    // products. The operands are factored tiles of supernode k (immutable
-    // from here on), so the products are independent and free of the target
-    // locks — exactly what run_batch requires. Dense×dense pairs are NOT
-    // pre-batched: they fuse into the target, whose representation can
-    // change under the lock between now and the finish phase.
-    struct Pending {
-      UpdateLoc loc;
-      const lr::Tile* a = nullptr;
-      const lr::Tile* b = nullptr;
-      lr::Tile out;              // product result, harvested by the completion
-      bool batched = false;      // product deferred to the batch
-      bool dense_pair = false;   // fused path, runs in the finish phase
-      bool zero = false;         // rank-0 operand: only the counter drains
-    };
-    // pending must never reallocate: batched entries' completions capture
-    // pointers to their Pending slot. The reserve below is an exact upper
-    // bound on the number of pushes.
-    std::vector<Pending> pending;
-    pending.reserve(static_cast<std::size_t>((je - jb) * nb));
+    std::vector<GroupPair> pairs;
+    std::vector<std::size_t> starts;
+    starts.reserve(static_cast<std::size_t>(je - jb) + 1);
+    for (index_t f = jb; f < je; ++f) {
+      if (failed_.load(std::memory_order_relaxed)) return;
+      poll_deadline(k);
+      starts.push_back(pairs.size());
+      collect_group(k, f, pairs);
+    }
+    starts.push_back(pairs.size());
     KernelBatch batch(pool_);
-    for (index_t j = jb; j < je; ++j) {
-      for (index_t i = llt_ ? j : 0; i < nb; ++i) {
-        if (failed_.load(std::memory_order_relaxed)) return;
-        poll_deadline(k);
-        Pending pd;
-        pd.loc = locate_update(k, i, j);
-        pd.a = &cd.lpanel[static_cast<std::size_t>(i)];
-        pd.b = llt_ ? &cd.lpanel[static_cast<std::size_t>(j)]
-                    : &cd.upanel[static_cast<std::size_t>(j)];
-        if (pd.a->rank() == 0 || pd.b->rank() == 0) {
-          pd.zero = true;
-        } else if (!pd.a->is_lowrank() && !pd.b->is_lowrank()) {
-          pd.dense_pair = true;
-        } else {
-          pd.batched = true;
-        }
-        const bool batched_entry = pd.batched;
-        pending.push_back(std::move(pd));
-        if (batched_entry) {
-          // The KernelCtx (and its `out` tile) dies when execute() clears the
-          // batch, so the completion — which runs before the clear — moves
-          // the product into the Pending slot for the finish phase.
-          Pending* slot = &pending.back();
-          KernelCtx& kc = batch.enqueue(
-              KernelOp::Gemm, rep_of(*slot->a), prec_of(*slot->a),
-              rep_of(*slot->b), prec_of(*slot->b),
-              [slot](KernelCtx& done) { slot->out = std::move(done.out); });
-          kc.a = slot->a;
-          kc.b = slot->b;
-          kc.kind = opts_.kind;
-          kc.tolerance = opts_.tolerance;
-          kc.need_ortho = update_need_ortho(slot->loc);
-          kc.out_cat = MemCategory::Workspace;
-        }
-      }
+    for (GroupPair& p : pairs) {
+      if (!p.lowrank) continue;
+      // The KernelCtx (and its `out` tile) dies when execute() clears the
+      // batch, so the completion — which runs before the clear — moves the
+      // product into the pair for the apply phase.
+      GroupPair* slot = &p;
+      KernelCtx& kc = batch.enqueue(
+          KernelOp::Gemm, rep_of(*p.a), prec_of(*p.a), rep_of(*p.b),
+          prec_of(*p.b),
+          [slot](KernelCtx& done) {
+            slot->prod = std::move(done.out);
+            slot->formed = true;
+          });
+      kc.a = p.a;
+      kc.b = p.b;
+      kc.kind = opts_.kind;
+      kc.tolerance = opts_.tolerance;
+      kc.need_ortho = update_need_ortho(p.loc);
+      kc.out_cat = MemCategory::Workspace;
     }
     batch.execute();
 
-    // Phase 2: sequential finish in the eager pair order — every mutation of
-    // shared engine state (extend-adds, LUAR appends, dependency counters)
-    // happens on this thread in exactly the order the eager loop would
-    // produce, which is what makes Off-vs-PerSupernode bit-identical for the
-    // sequential schedule.
-    for (Pending& pd : pending) {
+    // Phase 2: apply the groups sequentially in group order — every
+    // mutation of shared engine state (GEMMs, extend-adds, LUAR appends,
+    // dependency counters) happens on this thread in exactly the order the
+    // eager loop produces, which is what makes Off-vs-PerSupernode
+    // bit-identical for the sequential schedule.
+    for (index_t f = jb; f < je; ++f) {
       if (failed_.load(std::memory_order_relaxed)) return;
-      if (!pd.zero) {
-        if (pd.dense_pair) {
-          dense_dense_update(pd.loc, *pd.a, *pd.b);
-        } else {
-          finish_update(pd.loc, std::move(pd.out));
-        }
-      }
-      const index_t target = pd.loc.tcblk;
-      const index_t left =
-          deps_[static_cast<std::size_t>(target)].fetch_sub(1,
-                                                            std::memory_order_acq_rel) - 1;
-      if (left == 0 && pool_ != nullptr) {
-        pool_->submit([this, target] { eliminate(target); },
-                      prio[static_cast<std::size_t>(target)]);
-      }
+      const std::size_t g = static_cast<std::size_t>(f - jb);
+      apply_group(k, f, pairs.data() + starts[g], starts[g + 1] - starts[g],
+                  img);
+      release_group(c.bloks[static_cast<std::size_t>(f)].fcblk);
     }
   } catch (ResourceError& e) {
     stamp_resource(e.report(), k);
@@ -975,7 +936,7 @@ void NumericFactor::update_range_batched(index_t k, index_t jb, index_t je) {
   }
 }
 
-void NumericFactor::factor_panel(index_t k) {
+void NumericFactor::factor_panel(index_t k, PanelImage& img) {
   if (failed_.load(std::memory_order_relaxed)) return;
   maybe_skew_clock(k);
   poll_deadline(k);
@@ -1046,14 +1007,41 @@ void NumericFactor::factor_panel(index_t k) {
     }
 
     {
-      // Panel solves: each TRSM reads the (now immutable) factored diagonal
-      // and mutates only its own tile, so the whole panel batches into one
-      // invocation. L and U tiles share the Trsm dispatch key — the upper
-      // flag travels per-entry in the ctx.
+      // Panel solves. The dense tiles of each side are packed into the
+      // task's panel image and solved by ONE trsm[ge] call, then written
+      // back: the rows of a right-side solve are independent, so every row
+      // gets the bits of its per-tile solve. The image stays valid for the
+      // updates that follow in this task. Low-rank tiles keep their
+      // per-tile solve. Under PerSupernode all of a panel's solves form one
+      // batch (they read the immutable factored diagonal and write disjoint
+      // storage); L and U share the Trsm dispatch key — the upper flag
+      // travels per-entry in the ctx.
+      pack_panel(k, 0, img);
       KernelBatch trsm_batch(pool_);
       const auto solve_panel = [&](std::vector<lr::Tile>& panel, bool upper) {
+        const index_t rows = upper ? img.urows : img.lrows;
+        if (rows > 0) {
+          const la::DView v((upper ? img.u : img.l).data(), rows, c.width(),
+                            rows);
+          if (!batched) {
+            dispatch::panel_solve(cd.diag, cd.ipiv, v, llt_, upper);
+            unpack_panel(k, img, upper);
+          } else {
+            KernelCtx& kc = trsm_batch.enqueue(
+                KernelOp::Trsm, Rep::Dense, Prec::Fp64, Rep::None, Prec::Fp64,
+                [this, k, &img, upper](KernelCtx&) {
+                  unpack_panel(k, img, upper);
+                });
+            kc.view = v;
+            kc.diag = &cd.diag.dense();
+            kc.piv = &cd.ipiv;
+            kc.llt = llt_;
+            kc.upper = upper;
+          }
+        }
         for (auto& blk : panel) {
           if (failed_.load(std::memory_order_relaxed)) return;
+          if (!blk.is_lowrank()) continue;  // solved in the image
           if (blk.rank() == 0) {
             blk.advance(lr::TileState::Factored);
             continue;
@@ -1138,15 +1126,14 @@ bool NumericFactor::update_need_ortho(const UpdateLoc& loc) const {
   return policy_->need_ortho(target_assembled_lowrank);
 }
 
-void NumericFactor::dense_dense_update(const UpdateLoc& loc, const lr::Tile& a,
-                                       const lr::Tile& b) {
+void NumericFactor::dense_pair_locked(const UpdateLoc& loc, const lr::Tile& a,
+                                      const lr::Tile& b) {
   // Dense x dense: fuse the GEMM straight into a dense target; only a
   // low-rank target needs an explicit contribution.
   CblkData& td = data_[static_cast<std::size_t>(loc.tcblk)];
-  std::lock_guard guard(locks_[static_cast<std::size_t>(loc.tcblk)]);
   if (loc.target_diag) {
     dispatch::gemm_into(td.diag.dense().sub(loc.roff, loc.coff, loc.rh, loc.ch),
-                        a, b, /*transpose=*/false);
+                        a.dense().cview(), b.dense().cview());
     return;
   }
   lr::Tile& tb = loc.target_upper
@@ -1161,18 +1148,21 @@ void NumericFactor::dense_dense_update(const UpdateLoc& loc, const lr::Tile& a,
   }
   // roff/coff are already expressed in the target block's coordinates;
   // only the contribution's dimensions swap under transposition. The
-  // fused kernel subtracts (A·Bᵗ)ᵗ = B·Aᵗ for the transposed mirror.
+  // transposed mirror subtracts (A·Bᵗ)ᵗ = B·Aᵗ.
   la::DView tview = tb.dense().sub(loc.roff, loc.coff,
                                    loc.transpose ? loc.ch : loc.rh,
                                    loc.transpose ? loc.rh : loc.ch);
-  dispatch::gemm_into(tview, a, b, loc.transpose);
+  if (loc.transpose) {
+    dispatch::gemm_into(tview, b.dense().cview(), a.dense().cview());
+  } else {
+    dispatch::gemm_into(tview, a.dense().cview(), b.dense().cview());
+  }
 }
 
-void NumericFactor::finish_update(const UpdateLoc& loc, lr::Tile p) {
+void NumericFactor::finish_update_locked(const UpdateLoc& loc, lr::Tile p) {
   if (p.is_lowrank() && p.rank() == 0) return;
 
   CblkData& td = data_[static_cast<std::size_t>(loc.tcblk)];
-  std::lock_guard guard(locks_[static_cast<std::size_t>(loc.tcblk)]);
   if (loc.target_diag) {
     dispatch::apply_contribution(
         td.diag.dense().sub(loc.roff, loc.coff, loc.rh, loc.ch), p,
@@ -1214,25 +1204,225 @@ void NumericFactor::finish_update(const UpdateLoc& loc, lr::Tile p) {
   }
 }
 
-index_t NumericFactor::apply_update(index_t k, index_t bi, index_t bj) {
-  const UpdateLoc loc = locate_update(k, bi, bj);
-  CblkData& cd = data_[static_cast<std::size_t>(k)];
-  const lr::Tile& a = cd.lpanel[static_cast<std::size_t>(bi)];
-  const lr::Tile& b = llt_ ? cd.lpanel[static_cast<std::size_t>(bj)]
-                           : cd.upanel[static_cast<std::size_t>(bj)];
+// ---- grouped updates (DESIGN.md §9) --------------------------------------
+//
+// Every block pair (i, j) of source k lands in cblk min(fcblk(i), fcblk(j)).
+// Group (k, f) holds the pairs landing in fcblk(f) that are keyed on f (see
+// update_group_bounds), so one group takes one target lock and drains one
+// dependency count. Inside a group, runs of dense rows with dense targets
+// become ONE gemm of packed panel rows against the facing blok, accumulated
+// into the gathered target values: each target element sees exactly the
+// per-pair call's operations in the same canonical order (la::gemm), and
+// the pairs of one source write disjoint target regions, so the factors are
+// bit-identical to the per-pair schedule the DAG still runs.
 
-  if (a.rank() == 0 || b.rank() == 0) return loc.tcblk;  // zero contribution
+index_t NumericFactor::collect_group(index_t k, index_t f,
+                                     std::vector<GroupPair>& out) const {
+  const symbolic::Cblk& c = sf_.cblk(k);
+  const index_t nb = static_cast<index_t>(c.bloks.size());
+  const CblkData& cd = data_[static_cast<std::size_t>(k)];
+  const GroupBounds gb = update_group_bounds(c, f, llt_);
+  const auto add = [&](index_t bi, index_t bj, index_t src) {
+    GroupPair p;
+    p.loc = locate_update(k, bi, bj);
+    p.a = &cd.lpanel[static_cast<std::size_t>(bi)];
+    p.b = llt_ ? &cd.lpanel[static_cast<std::size_t>(bj)]
+               : &cd.upanel[static_cast<std::size_t>(bj)];
+    p.src = src;
+    p.zero = p.a->rank() == 0 || p.b->rank() == 0;
+    p.lowrank = !p.zero && (p.a->is_lowrank() || p.b->is_lowrank());
+    out.push_back(std::move(p));
+  };
+  for (index_t i = gb.l_begin; i < nb; ++i) add(i, f, i);
+  for (index_t i = gb.u_begin; i < nb; ++i) add(f, i, i);
+  return c.bloks[static_cast<std::size_t>(f)].fcblk;
+}
 
-  if (!a.is_lowrank() && !b.is_lowrank()) {
-    dense_dense_update(loc, a, b);
-    return loc.tcblk;
+void NumericFactor::apply_group(index_t k, index_t f, GroupPair* pairs,
+                                std::size_t n, PanelImage& img) {
+  if (n == 0) return;
+  const symbolic::Cblk& c = sf_.cblk(k);
+  const index_t w = c.width();
+  const index_t hf = c.bloks[static_cast<std::size_t>(f)].height();
+  const index_t tcblk = pairs[0].loc.tcblk;
+  CblkData& td = data_[static_cast<std::size_t>(tcblk)];
+
+  bool any_dense = false;
+  for (std::size_t q = 0; q < n; ++q)
+    any_dense = any_dense || (!pairs[q].zero && !pairs[q].lowrank);
+  if (any_dense) pack_panel(k, update_group_bounds(c, f, llt_).l_begin, img);
+
+  // A pending run: consecutive image rows [row0, row0 + rows) of one side,
+  // landing in the target segments `segs` (merged when adjacent in the same
+  // target matrix, `owners`).
+  struct Run {
+    bool upper = false;
+    index_t row0 = 0, rows = 0;
+    std::vector<la::DView> segs;
+    std::vector<const la::DMatrix*> owners;
+  } run;
+  const auto flush = [&] {
+    if (run.rows == 0) return;
+    const index_t arows = run.upper ? img.urows : img.lrows;
+    const la::DConstView a((run.upper ? img.u : img.l).data() + run.row0,
+                           run.rows, w, arows);
+    // B: the facing blok f — of the L panel for the U side and for LLᵗ, of
+    // the U panel for the LU L side.
+    const bool b_upper = !llt_ && !run.upper;
+    const index_t brows = b_upper ? img.urows : img.lrows;
+    const index_t boff =
+        (b_upper ? img.uoff : img.loff)[static_cast<std::size_t>(f)];
+    const la::DConstView b((b_upper ? img.u : img.l).data() + boff, hf, w,
+                           brows);
+    if (run.segs.size() == 1) {
+      dispatch::gemm_into(run.segs[0], a, b);
+    } else {
+      dispatch::gemm_into_segments(run.segs.data(), run.segs.size(), a, b);
+    }
+    run.rows = 0;
+    run.segs.clear();
+    run.owners.clear();
+  };
+
+  // The lock is taken once for the dense work. A low-rank-operand pair
+  // forms its product outside the lock (dropping it meanwhile: the pending
+  // run's targets are dense tiles, which stay dense and in place) and
+  // applies it in group order, so no group holds more than one product.
+  std::unique_lock lock(locks_[static_cast<std::size_t>(tcblk)],
+                        std::defer_lock);
+  for (std::size_t q = 0; q < n; ++q) {
+    GroupPair& p = pairs[q];
+    if (p.zero) continue;
+    if (p.lowrank) {
+      if (!p.formed) {
+        if (lock.owns_lock()) lock.unlock();
+        p.prod = dispatch::product(*p.a, *p.b, opts_.kind, opts_.tolerance,
+                                   update_need_ortho(p.loc));
+      }
+      if (!lock.owns_lock()) lock.lock();
+      finish_update_locked(p.loc, std::move(p.prod));
+      continue;
+    }
+    if (!lock.owns_lock()) lock.lock();
+    const UpdateLoc& loc = p.loc;
+    const la::DMatrix* owner = nullptr;
+    la::DView seg;
+    if (loc.target_diag) {
+      owner = &td.diag.dense();
+      seg = td.diag.dense().sub(loc.roff, loc.coff, loc.rh, loc.ch);
+    } else {
+      lr::Tile& tb = loc.target_upper
+                         ? td.upanel[static_cast<std::size_t>(loc.tb_idx)]
+                         : td.lpanel[static_cast<std::size_t>(loc.tb_idx)];
+      if (tb.is_lowrank()) {
+        // Low-rank target (MinMem / Adaptive): product + extend-add.
+        dense_pair_locked(loc, *p.a, *p.b);
+        continue;
+      }
+      // Both sides' segments are (row blok i) × (facing blok f); U-side
+      // offsets are already in the transposed target's coordinates.
+      owner = &tb.dense();
+      seg = tb.dense().sub(loc.roff, loc.coff, loc.transpose ? loc.ch : loc.rh,
+                           loc.transpose ? loc.rh : loc.ch);
+    }
+    const bool upper = loc.target_upper;
+    const index_t row =
+        (upper ? img.uoff : img.loff)[static_cast<std::size_t>(p.src)];
+    if (run.rows > 0 && (upper != run.upper || row != run.row0 + run.rows))
+      flush();
+    if (run.rows == 0) {
+      run.upper = upper;
+      run.row0 = row;
+    }
+    run.rows += seg.rows;
+    if (!run.segs.empty() && run.owners.back() == owner &&
+        run.segs.back().data + run.segs.back().rows == seg.data) {
+      run.segs.back().rows += seg.rows;
+    } else {
+      run.segs.push_back(seg);
+      run.owners.push_back(owner);
+    }
   }
+  if (run.rows > 0 && !lock.owns_lock()) lock.lock();
+  flush();
+}
 
-  // At least one low-rank operand: form the contribution outside the lock.
-  const bool need_ortho = update_need_ortho(loc);
-  lr::Tile p = dispatch::product(a, b, opts_.kind, opts_.tolerance, need_ortho);
-  finish_update(loc, std::move(p));
-  return loc.tcblk;
+void NumericFactor::release_group(index_t tcblk) {
+  const index_t left = deps_[static_cast<std::size_t>(tcblk)].fetch_sub(
+                           1, std::memory_order_acq_rel) - 1;
+  if (left == 0 && pool_ != nullptr) {
+    pool_->submit([this, tcblk] { eliminate(tcblk); },
+                  sf_.critical_priorities()[static_cast<std::size_t>(tcblk)]);
+  }
+}
+
+void NumericFactor::pack_panel(index_t k, index_t from, PanelImage& img) {
+  if (img.cblk == k && img.from <= from) return;
+  const symbolic::Cblk& c = sf_.cblk(k);
+  const CblkData& cd = data_[static_cast<std::size_t>(k)];
+  const std::size_t nb = c.bloks.size();
+  const index_t w = c.width();
+  const auto layout = [&](const std::vector<lr::Tile>& panel,
+                          std::vector<index_t>& off) {
+    off.assign(nb, -1);
+    index_t rows = 0;
+    for (std::size_t i = static_cast<std::size_t>(from); i < nb; ++i) {
+      if (panel[i].is_lowrank()) continue;
+      off[i] = rows;
+      rows += panel[i].rows();
+    }
+    return rows;
+  };
+  img.cblk = -1;  // invalid until the copy below completes
+  img.lrows = layout(cd.lpanel, img.loff);
+  img.urows = llt_ ? 0 : layout(cd.upanel, img.uoff);
+  const std::size_t nl =
+      static_cast<std::size_t>(img.lrows) * static_cast<std::size_t>(w);
+  const std::size_t nu =
+      static_cast<std::size_t>(img.urows) * static_cast<std::size_t>(w);
+  if (img.l.size() < nl || img.u.size() < nu) {
+    // Exact-size regrowth, charged before allocating so a budget breach
+    // leaves the image untouched.
+    const std::size_t l = std::max(nl, img.l.size());
+    const std::size_t u = std::max(nu, img.u.size());
+    img.track.resize((l + u) * sizeof(real_t));
+    if (img.l.size() < l) {
+      std::vector<real_t>().swap(img.l);
+      img.l.resize(l);
+    }
+    if (img.u.size() < u) {
+      std::vector<real_t>().swap(img.u);
+      img.u.resize(u);
+    }
+  }
+  const auto pack = [&](const std::vector<lr::Tile>& panel,
+                        const std::vector<index_t>& off, index_t rows,
+                        real_t* dst) {
+    for (std::size_t i = 0; i < nb; ++i) {
+      if (off[i] < 0) continue;
+      la::copy<real_t>(panel[i].dense().cview(),
+                       la::DView(dst + off[i], panel[i].rows(), w, rows));
+    }
+  };
+  pack(cd.lpanel, img.loff, img.lrows, img.l.data());
+  if (!llt_) pack(cd.upanel, img.uoff, img.urows, img.u.data());
+  img.cblk = k;
+  img.from = from;
+}
+
+void NumericFactor::unpack_panel(index_t k, const PanelImage& img, bool upper) {
+  CblkData& cd = data_[static_cast<std::size_t>(k)];
+  std::vector<lr::Tile>& panel = upper ? cd.upanel : cd.lpanel;
+  const std::vector<index_t>& off = upper ? img.uoff : img.loff;
+  const index_t rows = upper ? img.urows : img.lrows;
+  const real_t* src = (upper ? img.u : img.l).data();
+  const index_t w = sf_.cblk(k).width();
+  for (std::size_t i = 0; i < panel.size(); ++i) {
+    if (off[i] < 0) continue;
+    la::copy<real_t>(la::DConstView(src + off[i], panel[i].rows(), w, rows),
+                     panel[i].dense().view());
+    panel[i].advance(lr::TileState::Factored);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -235,28 +235,46 @@ public:
   }
 
 private:
+  /// Packed image of one source supernode's dense panel bloks (from blok
+  /// `from` on): the A and B operands of the grouped GEMMs (DESIGN.md §9).
+  /// An elimination task packs its supernode once and shares the image,
+  /// read-only, with its update segments; it is charged to Workspace and
+  /// released with the last task using it (DESIGN.md §13).
+  struct PanelImage {
+    index_t cblk = -1;                 ///< source packed (-1: none)
+    index_t from = 0;                  ///< first blok packed
+    index_t lrows = 0, urows = 0;      ///< image heights (= leading dims)
+    std::vector<index_t> loff, uoff;   ///< image row of each blok (-1: absent)
+    std::vector<real_t> l, u;          ///< L image, U image
+    TrackedAlloc track{MemCategory::Workspace, 0};
+  };
+
   void assemble_all();
   void assemble_cblk(index_t k);
   void gather_panel(index_t k, const sparse::CscMatrix& src,
                     std::vector<lr::Tile>& panel, bool fill_diag);
   void eliminate(index_t k);
-  /// Apply the right-looking updates of supernode k for column bloks
-  /// [jb, je), draining dependency counters and submitting (with their
-  /// critical-path priority) the successors that become ready. Routes to
-  /// update_range_batched under Batching::PerSupernode.
-  void update_range(index_t k, index_t jb, index_t je);
-  /// Batched variant of update_range (DESIGN.md §11): locate every update of
-  /// the range, enqueue the contribution products into one KernelBatch keyed
-  /// by operand representation/precision, execute the batch (parallel over
-  /// shape-bucket chunks), then apply the results and drain dependency
-  /// counters sequentially in the eager pair order. Dense×dense pairs fuse
-  /// into a target whose representation can change under the lock, so they
-  /// skip the batch and run entirely in the sequential finish phase.
-  void update_range_batched(index_t k, index_t jb, index_t je);
+  /// Apply the update groups (k, f) of supernode k for facing bloks
+  /// f in [jb, je) (DESIGN.md §9), draining dependency counters and
+  /// submitting (with their critical-path priority) the successors that
+  /// become ready. Routes to update_range_batched under
+  /// Batching::PerSupernode.
+  void update_range(index_t k, index_t jb, index_t je, PanelImage& img);
+  /// Batched variant of update_range (DESIGN.md §11): collect every group
+  /// of the range, enqueue the low-rank-operand contribution products into
+  /// one KernelBatch keyed by operand representation/precision, execute the
+  /// batch (parallel over shape-bucket chunks), then apply the groups and
+  /// drain dependency counters sequentially in group order. Dense pairs
+  /// fuse into targets whose representation can change under the lock, so
+  /// they skip the batch and run in the apply phase.
+  void update_range_batched(index_t k, index_t jb, index_t je,
+                            PanelImage& img);
   /// Diagonal factorization + policy elimination hook + panel solves of
-  /// cblk k. Under Batching::PerSupernode the compressions and the panel
-  /// TRSMs each run as one batch across the panel.
-  void factor_panel(index_t k);
+  /// cblk k. The dense tiles are solved packed in `img`, which then holds
+  /// k's factored panel for the updates. Under Batching::PerSupernode the
+  /// compressions and the panel TRSMs each run as one batch across the
+  /// panel.
+  void factor_panel(index_t k, PanelImage& img);
   void factorize_left_looking();
   /// Dataflow execution (options.dataflow == Dag): build the TaskGraph over
   /// per-tile operations, then run it — sequentially in the canonical
@@ -276,15 +294,49 @@ private:
   /// (keys off the target's assembly-time representation — immutable, so
   /// safe without the target lock).
   [[nodiscard]] bool update_need_ortho(const UpdateLoc& loc) const;
-  /// Fused dense×dense update: GEMM straight into the (locked) dense target,
-  /// or product + extend-add when the target is low-rank.
-  void dense_dense_update(const UpdateLoc& loc, const lr::Tile& a,
-                          const lr::Tile& b);
-  /// Apply a formed contribution product under the target lock: LR2GE onto
-  /// the diagonal, LUAR accumulation, or extend-add.
-  void finish_update(const UpdateLoc& loc, lr::Tile p);
-  /// Apply the (i,j) update produced by supernode k; returns the target cblk.
-  index_t apply_update(index_t k, index_t bi, index_t bj);
+  /// Fused dense×dense update of one pair (caller holds the target lock):
+  /// GEMM straight into a dense target, or product + extend-add when the
+  /// target is low-rank.
+  void dense_pair_locked(const UpdateLoc& loc, const lr::Tile& a,
+                         const lr::Tile& b);
+  /// Apply a formed contribution product (caller holds the target lock):
+  /// LR2GE onto the diagonal, LUAR accumulation, or extend-add.
+  void finish_update_locked(const UpdateLoc& loc, lr::Tile p);
+
+  // ---- grouped updates (DESIGN.md §9) ---------------------------------
+  /// One block pair of an update group, in group order.
+  struct GroupPair {
+    UpdateLoc loc;
+    const lr::Tile* a = nullptr;  ///< row operand of the product A·Bᵗ
+    const lr::Tile* b = nullptr;  ///< column operand
+    index_t src = -1;             ///< row blok of k the contribution rows come
+                                  ///< from (U panel when loc.target_upper)
+    bool zero = false;            ///< rank-0 operand: nothing to apply
+    bool lowrank = false;         ///< low-rank operand: product + extend-add
+    bool formed = false;          ///< `prod` already formed (batched path)
+    lr::Tile prod;                ///< formed contribution (low-rank pairs)
+  };
+  /// Append the pairs of group (k, f) to `out` in group order — L side
+  /// (i, f) then U side (f, i), each by ascending i — and return the
+  /// target cblk fcblk(f).
+  index_t collect_group(index_t k, index_t f, std::vector<GroupPair>& out) const;
+  /// Apply one collected group under its target's lock: runs of dense
+  /// pairs with dense targets become one gather–GEMM–scatter on the packed
+  /// panel image; the other pairs apply one by one in group order.
+  /// Low-rank-operand pairs form their product outside the lock unless the
+  /// batched path already did.
+  void apply_group(index_t k, index_t f, GroupPair* pairs, std::size_t n,
+                   PanelImage& img);
+  /// One group done: drain the target's dependency counter and submit its
+  /// elimination when it reaches zero.
+  void release_group(index_t tcblk);
+
+  /// Pack the dense bloks [from, nb) of k's panels into `img` unless it
+  /// already holds them.
+  void pack_panel(index_t k, index_t from, PanelImage& img);
+  /// Copy the image rows of one side back into k's dense tiles and mark
+  /// them Factored (after the grouped panel solve).
+  void unpack_panel(index_t k, const PanelImage& img, bool upper);
   /// Merge a pending LUAR accumulator into its block (caller holds the
   /// target lock or the target is quiescent).
   void flush_accumulator(index_t cblk, bool upper, index_t blok_idx);
@@ -381,7 +433,7 @@ private:
 
   std::vector<CblkData> data_;
   std::vector<std::mutex> locks_;              // per-cblk update locks
-  std::vector<std::atomic<index_t>> deps_;     // remaining incoming updates
+  std::vector<std::atomic<index_t>> deps_;     // remaining incoming groups
   ThreadPool* pool_ = nullptr;                 // active during factorize()
   real_t pivot_cutoff_ = 0;                    // absolute static-pivot threshold
   std::atomic<index_t> pivots_replaced_{0};

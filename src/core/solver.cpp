@@ -674,6 +674,7 @@ void Solver::print_summary(std::ostream& os) const {
          << " calls, "
          << static_cast<double>(d.bytes) / 1e6 << " MB, " << d.seconds
          << " s";
+      if (d.flops > 0 && d.seconds > 0) os << ", " << d.gflops() << " GF/s";
       if (d.batched_calls > 0) {
         os << " (" << d.batched_calls << " batched in "
            << d.batch_invocations << " invocations)";

@@ -25,7 +25,16 @@ struct DispatchCount {
   /// batched_calls / batch_invocations is this kernel's mean batch size.
   std::uint64_t batch_invocations = 0;
   std::uint64_t bytes = 0;  ///< operand + destination storage touched
+  /// Floating-point operations computed from the operand shapes. Recorded
+  /// for the dense rows (gemm[ge,ge], trsm[ge], potrf[ge], getrf[ge]) and
+  /// the low-rank panel solve; 0 where no model is recorded.
+  std::uint64_t flops = 0;
   double seconds = 0;
+
+  /// Achieved rate of the row, 0 when it records no flops or no time.
+  [[nodiscard]] double gflops() const {
+    return seconds > 0 ? static_cast<double>(flops) / seconds * 1e-9 : 0.0;
+  }
 };
 
 /// Aggregate batched-execution counters of one factorization run (surfaced

@@ -179,6 +179,19 @@ void EpochGate::advance(std::uint64_t addr, std::uint8_t from, std::uint8_t to) 
 
 // ----------------------------------------------------------------- TaskGraph
 
+GroupBounds update_group_bounds(const symbolic::Cblk& c, index_t f, bool llt) {
+  const index_t nb = static_cast<index_t>(c.bloks.size());
+  if (llt) return {f, nb};
+  const auto fc = [&c](index_t i) {
+    return c.bloks[static_cast<std::size_t>(i)].fcblk;
+  };
+  // Bloks ascend by row, so the bloks facing one cblk are contiguous.
+  GroupBounds g{f, f + 1};
+  while (g.l_begin > 0 && fc(g.l_begin - 1) == fc(f)) --g.l_begin;
+  while (g.u_begin < nb && fc(g.u_begin) == fc(f)) ++g.u_begin;
+  return g;
+}
+
 TaskGraph TaskGraph::build(const symbolic::SymbolicFactor& sf, bool llt) {
   TaskGraph g;
   g.llt_ = llt;
@@ -255,41 +268,45 @@ TaskGraph TaskGraph::build(const symbolic::SymbolicFactor& sf, bool llt) {
       }
     }
 
-    // Right-looking updates in the barrier's (col outer, row inner) pair
-    // order. Each splits into the lock-free Product (reads two factored
-    // source tiles, writes a private slot) and the chained Apply (writes the
-    // target tile address — the write chain that pins bitwise determinism).
-    for (index_t j = 0; j < nb; ++j) {
-      for (index_t i = llt ? j : 0; i < nb; ++i) {
-        const symbolic::Blok& rb = bloks[static_cast<std::size_t>(i)];
-        const symbolic::Blok& cb = bloks[static_cast<std::size_t>(j)];
-        const std::uint32_t pid =
-            declare({DagTaskKind::Product, k, i, j, false, upd});
-        b.read(pid, g.panel_addr(k, false, i));
-        b.read(pid, llt ? g.panel_addr(k, false, j) : g.panel_addr(k, true, j));
+    // Right-looking updates in the barrier's canonical group order (f
+    // ascending; L side then U side; row blok ascending). Each splits into
+    // the lock-free Product (reads two factored source tiles, writes a
+    // private slot) and the chained Apply (writes the target tile address —
+    // the write chain that pins bitwise determinism).
+    const auto declare_pair = [&](index_t i, index_t j) {
+      const symbolic::Blok& rb = bloks[static_cast<std::size_t>(i)];
+      const symbolic::Blok& cb = bloks[static_cast<std::size_t>(j)];
+      const std::uint32_t pid =
+          declare({DagTaskKind::Product, k, i, j, false, upd});
+      b.read(pid, g.panel_addr(k, false, i));
+      b.read(pid, llt ? g.panel_addr(k, false, j) : g.panel_addr(k, true, j));
 
-        std::uint64_t target_addr;
-        if (rb.fcblk == cb.fcblk) {
-          target_addr = g.diag_addr(rb.fcblk);
-        } else if (rb.fcblk > cb.fcblk) {
-          const index_t tb = sf.find_blok(cb.fcblk, rb.frow, rb.lrow);
-          target_addr = g.panel_addr(cb.fcblk, false, tb);
-          // The product's orthonormality requirement reads the target tile's
-          // assembly-time representation, so it must wait for the target's
-          // assembly (Assemble(t) has task id t).
-          b.edge(static_cast<std::uint32_t>(cb.fcblk), pid);
-        } else {
-          const index_t tb = sf.find_blok(rb.fcblk, cb.frow, cb.lrow);
-          target_addr = g.panel_addr(rb.fcblk, true, tb);
-          b.edge(static_cast<std::uint32_t>(rb.fcblk), pid);
-        }
-
-        const std::uint32_t aid =
-            declare({DagTaskKind::Apply, k, i, j, false, upd});
-        b.edge(pid, aid);  // the product result travels through the slot
-        b.write(aid, target_addr);
-        ++upd;
+      std::uint64_t target_addr;
+      if (rb.fcblk == cb.fcblk) {
+        target_addr = g.diag_addr(rb.fcblk);
+      } else if (rb.fcblk > cb.fcblk) {
+        const index_t tb = sf.find_blok(cb.fcblk, rb.frow, rb.lrow);
+        target_addr = g.panel_addr(cb.fcblk, false, tb);
+        // The product's orthonormality requirement reads the target tile's
+        // assembly-time representation, so it must wait for the target's
+        // assembly (Assemble(t) has task id t).
+        b.edge(static_cast<std::uint32_t>(cb.fcblk), pid);
+      } else {
+        const index_t tb = sf.find_blok(rb.fcblk, cb.frow, cb.lrow);
+        target_addr = g.panel_addr(rb.fcblk, true, tb);
+        b.edge(static_cast<std::uint32_t>(rb.fcblk), pid);
       }
+
+      const std::uint32_t aid =
+          declare({DagTaskKind::Apply, k, i, j, false, upd});
+      b.edge(pid, aid);  // the product result travels through the slot
+      b.write(aid, target_addr);
+      ++upd;
+    };
+    for (index_t f = 0; f < nb; ++f) {
+      const GroupBounds gb = update_group_bounds(sf.cblk(k), f, llt);
+      for (index_t i = gb.l_begin; i < nb; ++i) declare_pair(i, f);
+      for (index_t i = gb.u_begin; i < nb; ++i) declare_pair(f, i);
     }
   }
 

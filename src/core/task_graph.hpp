@@ -156,6 +156,20 @@ private:
   std::uint64_t n_ = 0;
 };
 
+/// Row-blok bounds of the update group (k, f) of source cblk `c`
+/// (DESIGN.md §9): every block pair of k whose target lies in cblk
+/// fcblk(f). The L side is the pairs (i, f) for i in [l_begin, nb) — every
+/// row blok facing fcblk(f) or a later cblk (LLᵗ: i ≥ f). The U side (LU
+/// only; u_begin == nb for LLᵗ) is the transposed pairs (f, i) for i in
+/// [u_begin, nb), every row blok facing a strictly later cblk. Over all f
+/// the groups partition the pairs of k, and their order — f ascending, L
+/// side then U side, i ascending — is the canonical update order.
+struct GroupBounds {
+  index_t l_begin = 0;
+  index_t u_begin = 0;
+};
+GroupBounds update_group_bounds(const symbolic::Cblk& c, index_t f, bool llt);
+
 /// The dependency-driven factorization schedule (DESIGN.md §12): every tile
 /// operation of the supernodal BLR factorization as a DagTask, with edges
 /// inferred from read/write sets over (supernode, block) tile addresses.
