@@ -10,16 +10,19 @@
 //
 // Results land in bench_refactorize.json, which the ci.sh perfsmoke stage
 // feeds into scripts/bench_trajectory.py next to bench_kernels.json.
-// `--quick` shrinks the problem and repetitions and enforces structural
-// floors only (plan reused, buffers recycled, warm hints replayed — the
-// mechanisms behind "steady-state is cheaper" — and grouped updates: dense
-// gemm calls bounded by the update groups, dense panel solves by the
-// supernodes; not wall-clock, which would flake on loaded CI machines),
-// exiting nonzero on violation.
+// `--quick` shrinks the problem and repetitions. Every run enforces
+// structural floors (plan reused, buffers recycled, warm hints replayed —
+// the mechanisms behind "steady-state is cheaper" — and grouped updates:
+// dense gemm calls bounded by the update groups, dense panel solves by the
+// supernodes) and one in-run ratio gate: at every width, 4-thread solve
+// throughput is at least 0.9x the 1-thread throughput, both timed
+// alternately in this run (absolute wall-clock floors would flake on
+// loaded CI machines). Exits nonzero on violation.
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -64,7 +67,7 @@ struct TrajectoryRow {
 
 struct SolveRow {
   index_t nrhs = 0;
-  int threads = 1;        ///< solve_threads (1 = sequential two-sweep)
+  int threads = 1;        ///< solve_threads (1 = in-order drain)
   double seconds = 0;     ///< one blocked solve of nrhs columns
   double rhs_per_s = 0;
 };
@@ -168,45 +171,58 @@ int run(bool quick) {
   // count) on JustInTime factors (the solve path is strategy-independent
   // once the factors exist). The warmed pass after a refactorize also pins
   // the solve-plan replay floor.
-  std::vector<SolveRow> solves;
-  for (const int threads : {1, 4}) {
+  constexpr int kThreads[] = {1, 4};
+  std::vector<std::unique_ptr<core::Solver>> solvers;
+  for (const int threads : kThreads) {
     SolverOptions opts = base;
     opts.strategy = Strategy::JustInTime;
     opts.solve_parallel = threads > 1;
     opts.solve_threads = threads;
-    core::Solver solver(opts);
-    solver.factorize(a0);
+    solvers.push_back(std::make_unique<core::Solver>(opts));
+    solvers.back()->factorize(a0);
     // One value step so the steady-state (plan-replaying) solve is measured.
-    solver.refactorize(step_values(a0, real_t(1.05), real_t(0.1)));
-    Prng rng(1234);
-    for (const index_t nrhs : {index_t{1}, index_t{8}, index_t{32},
-                               index_t{128}}) {
-      la::DMatrix b(n, nrhs), x(n, nrhs);
-      la::random_normal(b.view(), rng);
-      const int reps = quick ? 2 : 5;
-      double best = 1e300;
-      for (int r = 0; r < reps; ++r) {
+    solvers.back()->refactorize(step_values(a0, real_t(1.05), real_t(0.1)));
+  }
+  std::vector<SolveRow> solves;
+  Prng rng(1234);
+  for (const index_t nrhs : {index_t{1}, index_t{8}, index_t{32},
+                             index_t{128}}) {
+    la::DMatrix b(n, nrhs), x(n, nrhs);
+    la::random_normal(b.view(), rng);
+    // Best of 5, the thread counts alternating so both see the same host.
+    double best[2] = {1e300, 1e300};
+    for (int r = 0; r < 5; ++r) {
+      for (std::size_t i = 0; i < solvers.size(); ++i) {
         Timer t;
-        solver.solve(b.cview(), x.view());
-        best = std::min(best, t.elapsed());
+        solvers[i]->solve(b.cview(), x.view());
+        best[i] = std::min(best[i], t.elapsed());
       }
+    }
+    for (std::size_t i = 0; i < solvers.size(); ++i) {
       SolveRow sr;
       sr.nrhs = nrhs;
-      sr.threads = threads;
-      sr.seconds = best;
-      sr.rhs_per_s = static_cast<double>(nrhs) / best;
+      sr.threads = kThreads[i];
+      sr.seconds = best[i];
+      sr.rhs_per_s = static_cast<double>(nrhs) / best[i];
       solves.push_back(sr);
     }
-    // Structural floors: the cached solve schedule served every pass, and
-    // the parallel configuration actually left the sequential sweep.
-    const core::SolvePhaseStats& sp = solver.stats().solve_phase;
+    // In-run ratio gate: throughput ratio 4t / 1t = best[0] / best[1].
+    char what[128];
+    std::snprintf(what, sizeof what,
+                  "4-thread solve throughput %.2fx the 1-thread one at "
+                  "nrhs %lld (floor 0.9x)",
+                  best[0] / best[1], static_cast<long long>(nrhs));
+    require(best[0] >= 0.9 * best[1], what);
+  }
+  // Structural floors: the cached solve schedule served every pass, and the
+  // 4-thread solver drained over its pool.
+  for (const auto& solver : solvers) {
+    const core::SolvePhaseStats& sp = solver->stats().solve_phase;
     require(sp.plan_builds == 1 && sp.plan_reuses >= 1,
             "solve plan was rebuilt instead of reused across refactorize");
-    if (threads > 1) {
-      require(sp.parallel_solves + sp.split_solves > 0,
-              "parallel solve path never engaged");
-    }
   }
+  require(solvers.back()->stats().solve_phase.parallel_solves > 0,
+          "4-thread solve never drained over its pool");
 
   // fp32 widen-cache floor: MixedTiles factors promote their low-rank
   // factors to fp64 once per epoch and hit that cache on every solve.

@@ -92,9 +92,11 @@ run_docs() {
 # Performance smoke: Release builds of bench_kernels and bench_refactorize
 # run in --quick mode. Each bench enforces its own floor — packed gemm must
 # not be >10% slower than the old loop nests at n=k=256, the
-# Batching::PerSupernode end-to-end run must actually form batches, and the
+# Batching::PerSupernode end-to-end run must actually form batches, the
 # re-factorization trajectory must actually reuse the plan/buffers/rank
-# hints — and exits nonzero otherwise. The JSON reports are copied over the
+# hints, and the 4-thread solve must keep ≥ 0.9x the 1-thread solve
+# throughput at every nrhs, both timed in the same run — and exits nonzero
+# otherwise. The JSON reports are copied over the
 # committed BENCH_*.json so the last green perfsmoke numbers travel with the
 # tree, and both are summarized into one entry of the rolling
 # BENCH_trajectory.json so drift across commits stays visible.
@@ -108,7 +110,7 @@ run_perfsmoke() {
   cp build-ci-perfsmoke/bench_kernels.json BENCH_kernels.json
   cp build-ci-perfsmoke/bench_refactorize.json BENCH_refactorize.json
   python3 scripts/bench_trajectory.py BENCH_kernels.json BENCH_refactorize.json
-  echo "ci[perfsmoke]: packed gemm, batching and refactorize reuse within bounds"
+  echo "ci[perfsmoke]: packed gemm, batching, refactorize reuse and solve scaling within bounds"
 }
 
 # Backend A/B: the full tier-1 suite twice against ONE Debug build — once

@@ -10,6 +10,7 @@
 #include "common/thread_pool.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/factorizations.hpp"
+#include "linalg/kernels_isa.hpp"
 
 namespace blr::core {
 
@@ -37,7 +38,6 @@ namespace {
 struct ShapeSig {
   index_t c_r = 0, c_c = 0, a_r = 0, a_c = 0, b_r = 0, b_c = 0;
   index_t v_r = 0, v_c = 0, i_r = 0, i_c = 0;
-  index_t su_r = 0, su_c = 0, sv_r = 0, sv_c = 0;
 
   bool operator==(const ShapeSig&) const = default;
 };
@@ -51,10 +51,6 @@ ShapeSig shape_of(const KernelCtx& ctx) {
   s.v_c = ctx.view.cols;
   s.i_r = ctx.in.rows;
   s.i_c = ctx.in.cols;
-  s.su_r = ctx.su.rows;
-  s.su_c = ctx.su.cols;
-  s.sv_r = ctx.sv.rows;
-  s.sv_c = ctx.sv.cols;
   return s;
 }
 
@@ -81,15 +77,21 @@ void note_stable_operands(const KernelCtx& ctx,
   add_tile(ctx.a);
   add_tile(ctx.b);
   if (ctx.in.data != nullptr) out.push_back(ctx.in.data);
-  // Solve factor views are stable by construction: they alias either a
-  // factored (immutable) fp64 tile or the per-epoch fp32 widen cache, both
-  // alive and unmutated for the whole batch.
-  if (ctx.su.data != nullptr) out.push_back(ctx.su.data);
-  if (ctx.sv.data != nullptr) out.push_back(ctx.sv.data);
 }
 
 std::uint64_t ctx_bytes(const KernelCtx& ctx) {
   std::uint64_t b = 0;
+  if (ctx.stiles != nullptr) {
+    // Solve task: its tiles as stored plus the RHS rows it reads or writes
+    // (the owning segment and every blok's rows), not the whole RHS block.
+    const SolveTiles& st = *ctx.stiles;
+    std::uint64_t rows = static_cast<std::uint64_t>(st.width);
+    for (std::size_t i = 0; i < st.count; ++i) {
+      b += st.tiles[i].storage_bytes();
+      rows += static_cast<std::uint64_t>(st.bloks[i].height());
+    }
+    return b + rows * static_cast<std::uint64_t>(ctx.view.cols) * sizeof(real_t);
+  }
   if (ctx.a != nullptr) b += ctx.a->storage_bytes();
   if (ctx.b != nullptr) b += ctx.b->storage_bytes();
   if (ctx.c != nullptr) b += ctx.c->storage_bytes();
@@ -301,14 +303,118 @@ void k_compress(KernelCtx& ctx) {
 
 // ---- triangular-solve kernels (DESIGN.md §16) ----------------------------
 //
-// The solve phase routes its per-segment operations through the registry so
-// they run on the packed backend engine and show up in the kernel table.
-// `ctx.transpose` carries the sweep direction (false = forward, true =
-// backward); `ctx.view` is the in-out RHS segment.
+// One dispatch per solve task: the kernel walks the task's tiles itself, in
+// ascending blok order. `ctx.view` is the whole (permuted) RHS block and
+// `ctx.stiles` names the tiles and the owning supernode's segment.
+// `ctx.transpose` carries the sweep direction (false = forward).
+//
+// Every apply keeps la::gemm's canonical per-element order — ascending k,
+// alpha folded into the B term, accumulated straight into the target — so
+// the streaming loops below are bit-identical to the packed gemm they
+// replace for narrow blocks, and a task's result equals the per-blok
+// dispatches it subsumes.
 
+constexpr index_t kNarrowCols = la::detail::MicroTile<real_t>::NR;
+
+/// out += op(a) · (alpha · in). Blocks narrower than the packed micro-tile
+/// stream through the operand once instead of copying it into a pack
+/// buffer and padding the columns.
+void acc_product(bool trans_a, real_t alpha, la::DConstView a,
+                 la::DConstView in, la::DView out) {
+  if (in.cols >= kNarrowCols) {
+    la::gemm(trans_a ? la::Trans::Yes : la::Trans::No, la::Trans::No, alpha,
+             a, in, real_t(1), out);
+    return;
+  }
+  for (index_t j = 0; j < in.cols; ++j) {
+    const real_t* xj = in.col(j);
+    real_t* yj = out.col(j);
+    if (!trans_a) {
+      for (index_t k = 0; k < a.cols; ++k)
+        la::axpy(a.rows, alpha * xj[k], a.col(k), yj);
+      continue;
+    }
+    // Aᵗ·x: four independent ascending-k dot chains at a time.
+    index_t i = 0;
+    for (; i + 4 <= a.cols; i += 4) {
+      const real_t *a0 = a.col(i), *a1 = a.col(i + 1), *a2 = a.col(i + 2),
+                   *a3 = a.col(i + 3);
+      real_t s0 = yj[i], s1 = yj[i + 1], s2 = yj[i + 2], s3 = yj[i + 3];
+      for (index_t k = 0; k < a.rows; ++k) {
+        const real_t b = alpha * xj[k];
+        s0 += a0[k] * b;
+        s1 += a1[k] * b;
+        s2 += a2[k] * b;
+        s3 += a3[k] * b;
+      }
+      yj[i] = s0;
+      yj[i + 1] = s1;
+      yj[i + 2] = s2;
+      yj[i + 3] = s3;
+    }
+    for (; i < a.cols; ++i) {
+      const real_t* ai = a.col(i);
+      real_t s = yj[i];
+      for (index_t k = 0; k < a.rows; ++k) s += ai[k] * (alpha * xj[k]);
+      yj[i] = s;
+    }
+  }
+}
+
+/// out -= blk · in (forward) or blkᵗ · in (backward) for one panel tile.
+/// Low-rank tiles apply u·(vᵗ·in) / v·(uᵗ·in) through a per-thread
+/// rank × nrhs scratch; fp32 tiles read their widen-cache copies.
+void apply_solve_tile(SolveTiles& st, std::size_t i, la::DConstView in,
+                      la::DView out, bool backward) {
+  const lr::Tile& t = st.tiles[i];
+  if (t.rank() == 0) return;
+  if (!t.is_lowrank()) {
+    acc_product(backward, real_t(-1), t.dense().cview(), in, out);
+    return;
+  }
+  la::DConstView u = t.lr().u.cview(), v = t.lr().v.cview();
+  if (t.precision() == lr::Precision::Fp32) {
+    u = st.wu[i].cview();
+    v = st.wv[i].cview();
+    ++st.widened;
+  }
+  if (backward) std::swap(u, v);
+  thread_local std::vector<real_t> scratch;
+  scratch.assign(static_cast<std::size_t>(u.cols) *
+                     static_cast<std::size_t>(in.cols),
+                 real_t(0));
+  la::DView tmp(scratch.data(), u.cols, in.cols, u.cols);
+  acc_product(/*trans_a=*/true, real_t(1), v, in, tmp);
+  acc_product(/*trans_a=*/false, real_t(-1), u, la::DConstView(tmp), out);
+}
+
+la::DView solve_segment(const KernelCtx& ctx) {
+  return ctx.view.sub(ctx.stiles->fcol, 0, ctx.stiles->width, ctx.view.cols);
+}
+
+/// FwdGroup: seg(t) -= L_run · seg(k), every tile into its own rows.
+void k_solve_gemm(KernelCtx& ctx) {
+  SolveTiles& st = *ctx.stiles;
+  const la::DConstView xk(solve_segment(ctx));
+  for (std::size_t i = 0; i < st.count; ++i) {
+    const symbolic::Blok& b = st.bloks[i];
+    apply_solve_tile(st, i, xk,
+                     ctx.view.sub(b.frow, 0, b.height(), ctx.view.cols),
+                     /*backward=*/false);
+  }
+}
+
+/// FwdDiag (no tiles) and Bwd: the backward task first pulls every facing
+/// segment through its tile, then solves the diagonal block.
 void k_solve_trsm(KernelCtx& ctx) {
+  SolveTiles& st = *ctx.stiles;
+  const la::DView xk = solve_segment(ctx);
+  for (std::size_t i = 0; i < st.count; ++i) {
+    const symbolic::Blok& b = st.bloks[i];
+    apply_solve_tile(st, i, ctx.view.sub(b.frow, 0, b.height(), ctx.view.cols),
+                     xk, /*backward=*/true);
+  }
   const la::DConstView diag = ctx.diag->cview();
-  la::DView xk = ctx.view;
   if (!ctx.transpose) {
     // Forward: local pivot swaps (LU only), then the unit/non-unit lower
     // solve of L.
@@ -336,24 +442,6 @@ void k_solve_trsm(KernelCtx& ctx) {
     la::trsm(la::Side::Left, la::Uplo::Upper, la::Trans::No, la::Diag::NonUnit,
              real_t(1), diag, xk);
   }
-}
-
-void k_solve_gemm_dense(KernelCtx& ctx) {
-  // Forward: xout -= blk·xin; backward: xout -= blkᵗ·xin.
-  la::gemm(ctx.transpose ? la::Trans::Yes : la::Trans::No, la::Trans::No,
-           real_t(-1), ctx.a->dense().cview(), ctx.in, real_t(1), ctx.view);
-}
-
-void k_solve_gemm_lr(KernelCtx& ctx) {
-  // Two rank-sized gemvs per RHS column: tmp = svᵗ·xin, xout -= su·tmp.
-  // position_solve_gemm already swapped the u/v roles for the backward
-  // sweep, so both directions run the same pair; the fp32 key differs only
-  // in where su/sv point (the per-epoch widen cache).
-  la::DMatrix tmp(ctx.su.cols, ctx.in.cols);
-  la::gemm(la::Trans::Yes, la::Trans::No, real_t(1), ctx.sv, ctx.in, real_t(0),
-           tmp.view());
-  la::gemm(la::Trans::No, la::Trans::No, real_t(-1), ctx.su, tmp.cview(),
-           real_t(1), ctx.view);
 }
 
 // ---- fp32 promotion wrappers (DESIGN.md §10) -----------------------------
@@ -434,17 +522,17 @@ KernelDispatch::KernelDispatch() {
                   "compress[ge]", Kernel::Compression, k_compress);
   // Triangular-solve kernels (DESIGN.md §16). All charge the Kernel::Solve
   // stats row — the row the monolithic sweep used to time as one block — so
-  // Table 2 totals keep their meaning. The lr32 key runs the same fp64 math
-  // as lr: its operands are the widen-cache copies, the key only separates
-  // the counter rows per at-rest precision.
+  // Table 2 totals keep their meaning. One kernel walks every group; the
+  // key only separates the counter rows by the group's widest tile: all
+  // dense, any low-rank, any fp32 at rest (read through the widen cache).
   register_kernel(KernelOp::SolveTrsm, Rep::Dense, f64, Rep::None, f64,
                   "solve_trsm[ge]", Kernel::Solve, k_solve_trsm);
   register_kernel(KernelOp::SolveGemm, Rep::Dense, f64, Rep::None, f64,
-                  "solve_gemm[ge]", Kernel::Solve, k_solve_gemm_dense);
+                  "solve_gemm[ge]", Kernel::Solve, k_solve_gemm);
   register_kernel(KernelOp::SolveGemm, Rep::LowRank, f64, Rep::None, f64,
-                  "solve_gemm[lr]", Kernel::Solve, k_solve_gemm_lr);
+                  "solve_gemm[lr]", Kernel::Solve, k_solve_gemm);
   register_kernel(KernelOp::SolveGemm, Rep::LowRank, f32, Rep::None, f64,
-                  "solve_gemm[lr32]", Kernel::Solve, k_solve_gemm_lr);
+                  "solve_gemm[lr32]", Kernel::Solve, k_solve_gemm);
   // Mixed-precision promotion wrappers. Dense tiles are never fp32, so only
   // low-rank operand slots get Fp32 keys; the None slot of trsm/lr2lr
   // carries the target tile's precision instead.
@@ -767,39 +855,31 @@ void extend_add(lr::Tile& c, const lr::Tile& p, index_t roff, index_t coff,
                                  ctx);
 }
 
-void solve_trsm(const lr::Tile& diag, const std::vector<index_t>& piv,
-                la::DView xk, bool llt, bool backward) {
+void solve_diag(const lr::Tile& diag, const std::vector<index_t>& piv,
+                SolveTiles& st, la::DView x, bool llt, bool backward) {
   KernelCtx ctx;
   ctx.diag = &diag.dense();
   ctx.piv = const_cast<std::vector<index_t>*>(&piv);
-  ctx.view = xk;
+  ctx.stiles = &st;
+  ctx.view = x;
   ctx.llt = llt;
   ctx.transpose = backward;
   KernelDispatch::instance().run(KernelOp::SolveTrsm, Rep::Dense, Prec::Fp64,
                                  Rep::None, Prec::Fp64, ctx);
 }
 
-void position_solve_gemm(KernelCtx& ctx, const lr::Tile& blk, la::DConstView u,
-                         la::DConstView v, la::DConstView xin, la::DView xout,
-                         bool backward) {
-  ctx.a = &blk;
-  ctx.in = xin;
-  ctx.view = xout;
-  ctx.transpose = backward;
-  if (blk.is_lowrank()) {
-    // Forward applies u·(vᵗ·xin), backward v·(uᵗ·xin): swap the factor
-    // roles here so the kernel body is direction-agnostic.
-    ctx.su = backward ? v : u;
-    ctx.sv = backward ? u : v;
+void solve_group(SolveTiles& st, la::DView x) {
+  Rep rep = Rep::Dense;
+  Prec prec = Prec::Fp64;
+  for (std::size_t i = 0; i < st.count; ++i) {
+    if (st.tiles[i].is_lowrank()) rep = Rep::LowRank;
+    if (prec_of(st.tiles[i]) == Prec::Fp32) prec = Prec::Fp32;
   }
-}
-
-void solve_gemm(const lr::Tile& blk, la::DConstView u, la::DConstView v,
-                la::DConstView xin, la::DView xout, bool backward) {
   KernelCtx ctx;
-  position_solve_gemm(ctx, blk, u, v, xin, xout, backward);
-  KernelDispatch::instance().run(KernelOp::SolveGemm, rep_of(blk),
-                                 prec_of(blk), Rep::None, Prec::Fp64, ctx);
+  ctx.stiles = &st;
+  ctx.view = x;
+  KernelDispatch::instance().run(KernelOp::SolveGemm, rep, prec, Rep::None,
+                                 Prec::Fp64, ctx);
 }
 
 std::optional<lr::LrMatrix> compress(lr::CompressionKind kind, la::DConstView a,

@@ -9,6 +9,7 @@
 #include "core/stats.hpp"
 #include "linalg/backend.hpp"
 #include "lowrank/kernels.hpp"
+#include "symbolic/symbolic.hpp"
 
 namespace blr {
 class ThreadPool;
@@ -27,8 +28,8 @@ enum class KernelOp : int {
   Lr2Lr,     ///< extend-add of a contribution into a low-rank tile (§3.3.2)
   Lr2Ge,     ///< extend-add of a contribution into dense storage
   Compress,  ///< rank-revealing compression of a dense tile
-  SolveTrsm, ///< triangular-solve diagonal apply on one RHS segment (§16)
-  SolveGemm, ///< triangular-solve panel update of one RHS segment (§16)
+  SolveTrsm, ///< solve diagonal task: FwdDiag, or Bwd's pulls + diagonal (§16)
+  SolveGemm, ///< solve forward group: one run of panel tiles pushed (§16)
   kCount
 };
 
@@ -54,6 +55,21 @@ inline Prec prec_of(const lr::Tile& t) {
 
 const char* kernel_op_name(KernelOp op);
 
+/// The tiles one triangular-solve task walks (DESIGN.md §16): `count` panel
+/// tiles of the supernode owning RHS rows [fcol, fcol + width), their bloks
+/// (the rows each tile faces) and, for fp32-at-rest tiles, the per-epoch
+/// fp64 widen-cache copies of their factors, indexed like `tiles` (null
+/// when the factor holds no fp32 tile). `widened` counts the copies read.
+struct SolveTiles {
+  const lr::Tile* tiles = nullptr;
+  const symbolic::Blok* bloks = nullptr;
+  const la::DMatrix* wu = nullptr;
+  const la::DMatrix* wv = nullptr;
+  std::size_t count = 0;
+  index_t fcol = 0, width = 0;
+  std::uint64_t widened = 0;  ///< out
+};
+
 /// Argument bundle passed to every dispatched kernel. Only the fields the
 /// selected operation reads need to be set; the rest keep their defaults.
 struct KernelCtx {
@@ -67,10 +83,9 @@ struct KernelCtx {
   const la::DView* segs = nullptr;  ///< grouped fused Gemm: the rows of
   std::size_t nsegs = 0;            ///< ga·gbᵗ land in these target segments
                                     ///< in order (`view` unused)
-  la::DConstView in;            ///< dense input (Compress, SolveGemm)
-  la::DConstView su, sv;        ///< positioned low-rank factors (SolveGemm):
-                                ///< view -= su·(svᵗ·in), always fp64 (fp32
-                                ///< tiles pass their widen-cache copies)
+  la::DConstView in;            ///< dense input (Compress)
+  SolveTiles* stiles = nullptr; ///< solve task tiles (SolveTrsm/SolveGemm);
+                                ///< `view` is then the whole RHS block
   const la::DMatrix* diag = nullptr;       ///< factored diagonal (Trsm)
   std::vector<index_t>* piv = nullptr;     ///< pivots: out (Getrf), in (Trsm)
   index_t roff = 0, coff = 0;   ///< target offsets (extend-add)
@@ -252,24 +267,16 @@ void extend_add(lr::Tile& c, const lr::Tile& p, index_t roff, index_t coff,
 std::optional<lr::LrMatrix> compress(lr::CompressionKind kind, la::DConstView a,
                                      real_t tol, index_t max_rank);
 
-/// Triangular-solve diagonal apply on the RHS segment `xk` (DESIGN.md §16):
-/// forward (`backward == false`) applies the local pivots (LU) then the
-/// lower solve; backward applies Lᵗ (LLᵗ) or U (LU).
-void solve_trsm(const lr::Tile& diag, const std::vector<index_t>& piv,
-                la::DView xk, bool llt, bool backward);
+/// Solve diagonal task on the RHS block `x` (DESIGN.md §16). Forward
+/// (`st` without tiles) applies the local pivots (LU) then the lower solve
+/// of segment st.fcol; backward first subtracts blokᵗ · x(blok rows) for
+/// every tile of `st` in order, then applies Lᵗ (LLᵗ) or U (LU).
+void solve_diag(const lr::Tile& diag, const std::vector<index_t>& piv,
+                SolveTiles& st, la::DView x, bool llt, bool backward);
 
-/// Position `ctx` for one SolveGemm dispatch — shared between the eager
-/// wrapper below and the PerSupernode solve batching in numeric.cpp. `u`/`v`
-/// are the panel tile's low-rank factors *already widened to fp64* (empty
-/// views for a dense tile); forward computes xout -= blk·xin, backward
-/// xout -= blkᵗ·xin (factor roles swap for low-rank tiles).
-void position_solve_gemm(KernelCtx& ctx, const lr::Tile& blk, la::DConstView u,
-                         la::DConstView v, la::DConstView xin, la::DView xout,
-                         bool backward);
-
-/// Triangular-solve panel update of one RHS segment (eager dispatch).
-void solve_gemm(const lr::Tile& blk, la::DConstView u, la::DConstView v,
-                la::DConstView xin, la::DView xout, bool backward);
+/// Solve forward group: x(blok rows) -= tile · x(segment) for every tile of
+/// `st` in order. Keyed by the group's widest tile (dense, low-rank, fp32).
+void solve_group(SolveTiles& st, la::DView x);
 
 /// Warm-started variant: seeds the kernel with `rank_guess` (the rank this
 /// block reached in the previous numeric pass, plus slack). Verify-and-grow

@@ -1471,204 +1471,66 @@ void NumericFactor::build_widen_cache() const {
   widen_track_.resize(bytes);
 }
 
-void NumericFactor::solve_lr_views(index_t k, index_t bi, bool upper,
-                                   const lr::Tile& blk, la::DConstView& u,
-                                   la::DConstView& v) const {
-  if (blk.precision() == lr::Precision::Fp32) {
-    // Widened once per factor on the first solve — every later use is a
-    // cache hit instead of a fresh fp32→fp64 promotion pass.
-    const WidenedPanel& wp = widen_[static_cast<std::size_t>(k)];
-    const std::size_t i = static_cast<std::size_t>(bi);
-    u = (upper ? wp.uu : wp.lu)[i].cview();
-    v = (upper ? wp.uv : wp.lv)[i].cview();
-    widen_hits_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    u = blk.lr().u.cview();
-    v = blk.lr().v.cview();
-  }
-}
-
-void NumericFactor::solve_fwd_diag(index_t k, la::DView x) const {
-  const symbolic::Cblk& c = sf_.cblk(k);
-  const CblkData& cd = data_[static_cast<std::size_t>(k)];
-  dispatch::solve_trsm(cd.diag, cd.ipiv, x.sub(c.fcol, 0, c.width(), x.cols),
-                       llt_, /*backward=*/false);
-}
-
-void NumericFactor::solve_fwd_upd(index_t k, index_t bi, la::DView x) const {
-  const symbolic::Cblk& c = sf_.cblk(k);
-  const CblkData& cd = data_[static_cast<std::size_t>(k)];
-  const lr::Tile& blk = cd.lpanel[static_cast<std::size_t>(bi)];
-  if (blk.rank() == 0) return;
-  const symbolic::Blok& b = c.bloks[static_cast<std::size_t>(bi)];
-  const la::DConstView xk(x.sub(c.fcol, 0, c.width(), x.cols));
-  la::DView xi = x.sub(b.frow, 0, b.height(), x.cols);
-  la::DConstView u, v;
-  if (blk.is_lowrank()) solve_lr_views(k, bi, /*upper=*/false, blk, u, v);
-  dispatch::solve_gemm(blk, u, v, xk, xi, /*backward=*/false);
-}
-
-void NumericFactor::solve_bwd_upd(index_t k, index_t bi, la::DView x) const {
-  const symbolic::Cblk& c = sf_.cblk(k);
-  const CblkData& cd = data_[static_cast<std::size_t>(k)];
-  const lr::Tile& blk = llt_ ? cd.lpanel[static_cast<std::size_t>(bi)]
-                             : cd.upanel[static_cast<std::size_t>(bi)];
-  if (blk.rank() == 0) return;
-  const symbolic::Blok& b = c.bloks[static_cast<std::size_t>(bi)];
-  const la::DConstView xi(x.sub(b.frow, 0, b.height(), x.cols));
-  la::DView xk = x.sub(c.fcol, 0, c.width(), x.cols);
-  la::DConstView u, v;
-  if (blk.is_lowrank()) solve_lr_views(k, bi, /*upper=*/!llt_, blk, u, v);
-  dispatch::solve_gemm(blk, u, v, xi, xk, /*backward=*/true);
-}
-
-void NumericFactor::solve_bwd_diag(index_t k, la::DView x) const {
-  const symbolic::Cblk& c = sf_.cblk(k);
-  const CblkData& cd = data_[static_cast<std::size_t>(k)];
-  dispatch::solve_trsm(cd.diag, cd.ipiv, x.sub(c.fcol, 0, c.width(), x.cols),
-                       llt_, /*backward=*/true);
-}
-
 bool NumericFactor::run_solve_task(const SolveTask& t, la::DView x) const {
-  switch (t.kind) {
-    case SolveTaskKind::FwdDiag: solve_fwd_diag(t.k, x); break;
-    case SolveTaskKind::FwdUpd: solve_fwd_upd(t.k, t.bi, x); break;
-    case SolveTaskKind::BwdUpd: solve_bwd_upd(t.k, t.bi, x); break;
-    case SolveTaskKind::BwdDiag: solve_bwd_diag(t.k, x); break;
+  const symbolic::Cblk& c = sf_.cblk(t.k);
+  const CblkData& cd = data_[static_cast<std::size_t>(t.k)];
+  // Bwd reads the panel that holds the transposed factor: L of LLᵗ, U of LU.
+  const bool upper = t.kind == SolveTaskKind::Bwd && !llt_;
+  const std::size_t b0 = static_cast<std::size_t>(t.b0);
+  SolveTiles st;
+  st.tiles = (upper ? cd.upanel : cd.lpanel).data() + b0;
+  st.bloks = c.bloks.data() + b0;
+  st.count = static_cast<std::size_t>(t.b1 - t.b0);
+  st.fcol = c.fcol;
+  st.width = c.width();
+  if (!widen_.empty()) {
+    const WidenedPanel& wp = widen_[static_cast<std::size_t>(t.k)];
+    st.wu = (upper ? wp.uu : wp.lu).data() + b0;
+    st.wv = (upper ? wp.uv : wp.lv).data() + b0;
   }
+  if (t.kind == SolveTaskKind::FwdGroup) {
+    dispatch::solve_group(st, x);
+  } else {
+    dispatch::solve_diag(cd.diag, cd.ipiv, st, x, llt_,
+                         /*backward=*/t.kind == SolveTaskKind::Bwd);
+  }
+  if (st.widened > 0)
+    widen_hits_.fetch_add(st.widened, std::memory_order_relaxed);
   return true;
 }
 
-void NumericFactor::solve_seq(la::DView x, ThreadPool* batch_pool,
-                              std::uint64_t& ops) const {
-  const index_t ncblk = sf_.num_cblks();
-  const index_t nrhs = x.cols;
-  const bool batching = opts_.batching == Batching::PerSupernode;
-  KernelBatch batch(batch_pool);
-
-  // Forward substitution: L·Y = (locally pivoted) B. A supernode's panel
-  // updates write disjoint row segments, so under PerSupernode batching they
-  // group into same-shape batched dispatches (fp32 tiles resolve through the
-  // widen cache first, so every batched operand pair is stable fp64 — the
-  // pack cache can reuse operand images across solves).
-  for (index_t k = 0; k < ncblk; ++k) {
-    const symbolic::Cblk& c = sf_.cblk(k);
-    const CblkData& cd = data_[static_cast<std::size_t>(k)];
-    la::DView xk = x.sub(c.fcol, 0, c.width(), nrhs);
-    dispatch::solve_trsm(cd.diag, cd.ipiv, xk, llt_, /*backward=*/false);
-    ++ops;
-    for (std::size_t idx = 0; idx < c.bloks.size(); ++idx) {
-      const lr::Tile& blk = cd.lpanel[idx];
-      if (blk.rank() == 0) continue;
-      la::DView xi = x.sub(c.bloks[idx].frow, 0, c.bloks[idx].height(), nrhs);
-      la::DConstView u, v;
-      if (blk.is_lowrank())
-        solve_lr_views(k, static_cast<index_t>(idx), /*upper=*/false, blk, u, v);
-      if (batching) {
-        KernelCtx& kc =
-            batch.enqueue(KernelOp::SolveGemm, rep_of(blk), prec_of(blk),
-                          Rep::None, Prec::Fp64);
-        dispatch::position_solve_gemm(kc, blk, u, v, la::DConstView(xk), xi,
-                                      /*backward=*/false);
-      } else {
-        dispatch::solve_gemm(blk, u, v, la::DConstView(xk), xi,
-                             /*backward=*/false);
-      }
-      ++ops;
-    }
-    batch.execute();  // no-op when empty; targets within k are disjoint
-  }
-
-  // Backward substitution: U·X = Y (or Lᵗ·X = Y for Cholesky). Every update
-  // of supernode k accumulates into the SAME xk segment, so this sweep stays
-  // eager — batching would reorder a reduction and break bit-identity.
-  for (index_t k = ncblk - 1; k >= 0; --k) {
-    const symbolic::Cblk& c = sf_.cblk(k);
-    const CblkData& cd = data_[static_cast<std::size_t>(k)];
-    la::DView xk = x.sub(c.fcol, 0, c.width(), nrhs);
-    for (std::size_t idx = 0; idx < c.bloks.size(); ++idx) {
-      const lr::Tile& blk = llt_ ? cd.lpanel[idx] : cd.upanel[idx];
-      if (blk.rank() == 0) continue;
-      const la::DConstView xi =
-          x.sub(c.bloks[idx].frow, 0, c.bloks[idx].height(), nrhs);
-      la::DConstView u, v;
-      if (blk.is_lowrank())
-        solve_lr_views(k, static_cast<index_t>(idx), /*upper=*/!llt_, blk, u, v);
-      dispatch::solve_gemm(blk, u, v, xi, xk, /*backward=*/true);
-      ++ops;
-    }
-    dispatch::solve_trsm(cd.diag, cd.ipiv, xk, llt_, /*backward=*/true);
-    ++ops;
-  }
-}
-
-void NumericFactor::solve_split(la::DView x, ThreadPool* pool,
-                                SolveRunInfo& ri) const {
-  // Wide multi-RHS batch: chunk the columns and run each chunk as an
-  // independent sequential sweep. Bit-identity with the unsplit sweep rests
-  // on the multi-RHS gemm contract: every output column is computed exactly
-  // as it would be in any other column grouping (DESIGN.md §14).
-  const index_t nchunks =
-      std::min<index_t>(x.cols, 2 * static_cast<index_t>(pool->size()));
-  const index_t base = x.cols / nchunks;
-  const index_t rem = x.cols % nchunks;
-  std::atomic<std::uint64_t> ops{0};
-  pool->parallel_for(nchunks, [&](index_t i) {
-    const index_t c0 = i * base + std::min(i, rem);
-    const index_t w = base + (i < rem ? 1 : 0);
-    std::uint64_t local = 0;
-    solve_seq(x.sub(0, c0, x.rows, w), nullptr, local);
-    ops.fetch_add(local, std::memory_order_relaxed);
-  });
-  ri.tasks += ops.load(std::memory_order_relaxed);
-  ri.column_split = true;
-}
-
 void NumericFactor::solve_permuted(la::DView x, SolveRunInfo* info) const {
+  BLR_CHECK(splan_ != nullptr, "solve: no solve plan attached to the factors");
   // Per-factor caches are built lazily on the first solve; a refactorize
   // creates a fresh NumericFactor, which invalidates them wholesale.
   std::call_once(widen_once_, [this] { build_widen_cache(); });
   const std::uint64_t hits0 = widen_hits_.load(std::memory_order_relaxed);
-  SolveRunInfo ri;
-  bool done = false;
-  if (sengine_ != nullptr) {
-    // The solve pool's wait_idle-based drain cannot be shared by two
-    // concurrent solves; a loser of this try_lock (e.g. a second session
-    // snapshot solving the same factors) takes the sequential sweep instead
-    // of blocking.
-    std::unique_lock<std::mutex> lk(sengine_->mu, std::try_to_lock);
-    if (lk.owns_lock()) {
-      ThreadPool* pool = &sengine_->pool;
-      if (x.cols >= 2 * static_cast<index_t>(pool->size()) && x.cols > 1) {
-        solve_split(x, pool, ri);
-        done = true;
-      } else if (splan_ != nullptr) {
-        std::mutex err_mu;
-        std::exception_ptr err;
-        const DepDrainStats ds =
-            splan_->execute(pool, [&](std::uint32_t id) {
-              try {
-                return run_solve_task(splan_->task(id), x);
-              } catch (...) {
-                std::lock_guard guard(err_mu);
-                if (!err) err = std::current_exception();
-                return false;  // stop releasing successors
-              }
-            });
-        if (err) std::rethrow_exception(err);
-        ri.tasks += ds.executed;
-        ri.parallel = true;
-        ri.plan_reused = true;
-        done = true;
-      }
+  // One execution path: the plan's tasks, drained over the solve pool or in
+  // id order on the calling thread — the same bits either way. Solves too
+  // small to pay for the pool hand-off drain in order. The pool's
+  // wait_idle-based drain cannot be shared by two concurrent solves, so a
+  // loser of the engine's try_lock (e.g. a second session snapshot solving
+  // the same factors) drains in order instead of blocking.
+  std::unique_lock<std::mutex> lk;
+  if (sengine_ != nullptr && splan_->pays_pool(x.cols))
+    lk = std::unique_lock(sengine_->mu, std::try_to_lock);
+  ThreadPool* pool = lk.owns_lock() ? &sengine_->pool : nullptr;
+  std::mutex err_mu;
+  std::exception_ptr err;
+  const DepDrainStats ds = splan_->execute(pool, [&](std::uint32_t id) {
+    try {
+      return run_solve_task(splan_->task(id), x);
+    } catch (...) {
+      std::lock_guard guard(err_mu);
+      if (!err) err = std::current_exception();
+      return false;  // stop releasing successors
     }
-  }
-  if (!done) {
-    std::uint64_t ops = 0;
-    solve_seq(x, nullptr, ops);
-    ri.tasks += ops;
-    ri.plan_reused = false;
-  }
+  });
+  if (err) std::rethrow_exception(err);
+  SolveRunInfo ri;
+  ri.tasks = ds.executed;
+  ri.parallel = pool != nullptr;
+  ri.plan_reused = true;
   ri.widen_hits = widen_hits_.load(std::memory_order_relaxed) - hits0;
   if (info != nullptr) *info = ri;
 }
@@ -1841,15 +1703,12 @@ void NumericFactor::harvest_ranks(RankMemory& out) const {
 }
 
 void NumericFactor::donate_buffers(lr::BufferPool& pool) {
+  // Only dense storage: the next pass requests exactly these shapes, while
+  // rank-sized U/V factors could only fill some larger request's slot by
+  // accident and would mostly sit in the pool unused until trim().
   const auto donate_tile = [&pool](lr::Tile& t) {
-    if (t.rows() == 0 || t.cols() == 0) return;
-    if (t.is_lowrank()) {
-      auto [u, v] = t.release_lowrank();
-      pool.recycle(std::move(u));
-      pool.recycle(std::move(v));
-    } else {
-      pool.recycle(t.release_dense());
-    }
+    if (t.rows() == 0 || t.cols() == 0 || t.is_lowrank()) return;
+    pool.recycle(t.release_dense());
   };
   for (CblkData& cd : data_) {
     donate_tile(cd.diag);

@@ -91,8 +91,8 @@ struct NumericReuse {
 /// refactorize(). Separate from the factorization pool because the solve
 /// drain blocks on wait_idle(), which must never observe another user's
 /// tasks. `mu` admits one pooled drain at a time: a concurrent solve()
-/// falls back to the sequential sweep instead of queueing — same bits,
-/// and const solve() calls stay safe under concurrency.
+/// drains the same tasks in order on its own thread instead of queueing —
+/// same bits, and const solve() calls stay safe under concurrency.
 struct SolveEngine {
   ThreadPool pool;
   std::mutex mu;
@@ -106,7 +106,6 @@ struct SolveEngine {
 struct SolveRunInfo {
   std::uint64_t tasks = 0;       ///< solve-plan task bodies run
   bool parallel = false;         ///< drained the solve DAG over the pool
-  bool column_split = false;     ///< wide batch ran as parallel column chunks
   bool plan_reused = false;      ///< a cached SolvePlan drove the execution
   std::uint64_t widen_hits = 0;  ///< fp32 widen-cache hits during this call
 };
@@ -141,11 +140,10 @@ public:
   void factorize(ThreadPool* pool);
 
   /// Triangular solves in the permuted index space on a block of right-hand
-  /// sides (n x nrhs, in/out). With a solve context attached (see
-  /// set_solve_context) the call drains the cached SolvePlan over the solve
-  /// pool — or splits wide multi-RHS batches into parallel column chunks —
-  /// and is memcmp-identical to the sequential two-sweep either way.
-  /// `info` (optional) reports what the call actually did.
+  /// sides (n x nrhs, in/out). Drains the attached SolvePlan (see
+  /// set_solve_context) over the solve pool, or in task order on the
+  /// calling thread when there is no pool or another solve holds it — the
+  /// same bits either way. `info` (optional) reports what the call did.
   void solve_permuted(la::DView x, SolveRunInfo* info) const;
   void solve_permuted(la::DView x) const { solve_permuted(x, nullptr); }
   void solve_permuted(real_t* x) const {
@@ -160,8 +158,8 @@ public:
 
   /// Attach the solve-phase execution context (DESIGN.md §16): the cached
   /// SolvePlan for this factor's symbolic structure plus the Solver's
-  /// shared solve engine. Without a context, solves run the sequential
-  /// two-sweep. Called by the Solver after each successful factorization.
+  /// shared solve engine (null: in-order drains only). Required before the
+  /// first solve; called by the Solver after each successful factorization.
   void set_solve_context(std::shared_ptr<const SolvePlan> plan,
                          std::shared_ptr<SolveEngine> engine);
 
@@ -224,9 +222,9 @@ public:
   /// re-factorization's warm-started compressions.
   void harvest_ranks(RankMemory& out) const;
 
-  /// Move every factor buffer (dense blocks, diagonals, low-rank U/V) into
-  /// `pool` for the next numeric pass to acquire. Destructive: the factors
-  /// are unusable afterwards — callers retire this NumericFactor right away.
+  /// Move every dense factor buffer (dense blocks, diagonals) into `pool`
+  /// for the next numeric pass to acquire. Destructive: the factors are
+  /// unusable afterwards — callers retire this NumericFactor right away.
   void donate_buffers(lr::BufferPool& pool);
 
   /// Warm-start event counters of this pass (all zero on a cold run).
@@ -360,23 +358,9 @@ private:
   void maybe_fail_compression(index_t k);
 
   // ---- solve phase (DESIGN.md §16) -----------------------------------
-  /// One task body of the two-sweep solve on RHS block x.
-  void solve_fwd_diag(index_t k, la::DView x) const;
-  void solve_fwd_upd(index_t k, index_t bi, la::DView x) const;
-  void solve_bwd_upd(index_t k, index_t bi, la::DView x) const;
-  void solve_bwd_diag(index_t k, la::DView x) const;
+  /// Run one solve-plan task on RHS block x: one dispatch that walks the
+  /// task's tiles (fp32 tiles through the widen cache, counting the hits).
   bool run_solve_task(const SolveTask& t, la::DView x) const;
-  /// Resolve a panel tile's low-rank factors as fp64 views; fp32 tiles
-  /// resolve through the widen cache (counting a hit).
-  void solve_lr_views(index_t k, index_t bi, bool upper, const lr::Tile& blk,
-                      la::DConstView& u, la::DConstView& v) const;
-  /// The sequential two-sweep over x. Under Batching::PerSupernode each
-  /// supernode's panel updates run as one batched dispatch (chunks spread
-  /// over `batch_pool` when non-null). Adds the operations run to `ops`.
-  void solve_seq(la::DView x, ThreadPool* batch_pool, std::uint64_t& ops) const;
-  /// Wide multi-RHS path: split x into column chunks solved as independent
-  /// sequential sweeps on the pool (bit-identical per column).
-  void solve_split(la::DView x, ThreadPool* pool, SolveRunInfo& ri) const;
   /// Build the per-epoch fp64 copies of every fp32-at-rest factor
   /// (Workspace-charged; no-op when the factor holds no fp32 tiles).
   void build_widen_cache() const;

@@ -242,12 +242,12 @@ struct SolverOptions {
   int threads = 1;
 
   /// Parallel triangular-solve phase (default on; DESIGN.md §16). Solves
-  /// drain the cached SolvePlan DAG over a dedicated solve pool — with
-  /// column splitting for wide multi-RHS batches — and are memcmp-identical
-  /// to the sequential two-sweep at every thread count. Only takes effect
-  /// when the effective solve thread count (below) is > 1; concurrent
-  /// solve() calls beyond the first fall back to the sequential sweep
-  /// rather than queueing.
+  /// drain the cached SolvePlan DAG over a dedicated solve pool and are
+  /// memcmp-identical to the in-order drain at every thread count. Only
+  /// takes effect when the effective solve thread count (below) is > 1;
+  /// blocks too small to pay for the pool, and concurrent solve() calls
+  /// beyond the first, drain in order on the calling thread rather than
+  /// queueing.
   bool solve_parallel = true;
 
   /// Worker threads for the solve phase; 0 (default) inherits `threads`.

@@ -15,13 +15,16 @@ void Session::analyze(const sparse::CscMatrix& a) {
   std::lock_guard<std::mutex> rl(refac_mu_);
   worker_.analyze(a);
   std::lock_guard<std::mutex> lk(mu_);
-  // Factors of the old plan must not serve answers for the new pattern.
+  // Factors of the old plan must not serve answers for the new pattern
+  // (and analyze() emptied the pool their storage would go to).
   serving_.reset();
+  retired_.reset();
   plan_ = worker_.plan();
 }
 
 void Session::refactorize(const sparse::CscMatrix& a) {
   std::lock_guard<std::mutex> rl(refac_mu_);
+  donate_retired();
   // The numeric pass runs WITHOUT mu_: queued solves keep draining against
   // the current serving snapshot for its whole duration. A throw from the
   // worker (ladder exhausted, budget/deadline breach) propagates here and
@@ -35,12 +38,26 @@ void Session::refactorize(const sparse::CscMatrix& a) {
     old = std::exchange(serving_, worker_.numeric_shared());
     plan_ = worker_.plan();
     ++epoch_;
+    // With buffer reuse on, the displaced factors stay with the session
+    // until the next pass: a blocked solve started before this swap may
+    // still be reading them.
+    if (opts_.reuse_buffers) retired_ = std::move(old);
   }
-  // Retire the displaced factors into the worker's buffer pool — but only
-  // when nothing else (an in-flight blocked solve, the worker itself)
-  // still holds them; donation destroys the factors in place. When a solve
-  // still holds the snapshot, the storage is simply freed once it drops it.
-  if (old && old.use_count() == 1 && opts_.reuse_buffers) {
+}
+
+void Session::donate_retired() {
+  std::shared_ptr<NumericFactor> old;
+  {
+    // Retired factors are never snapshotted again, so this waits for at
+    // most the one blocked solve that started before the last swap.
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait(lk, [&] { return !retired_ || in_flight_ != retired_.get(); });
+    old = std::move(retired_);
+  }
+  // Donation destroys the factors in place: only when the session held the
+  // last reference (a preconditioner handed out by the worker may not).
+  // Flushes drop their snapshot under mu_, so the count is settled here.
+  if (old && old.use_count() == 1) {
     old->donate_buffers(worker_.buffer_pool());
   }
 }
@@ -109,6 +126,7 @@ void Session::flush_batch(std::unique_lock<std::mutex>& lk) {
   std::shared_ptr<NumericFactor> snap = serving_;
   std::shared_ptr<const SymbolicPlan> plan = plan_;
   const std::uint64_t ep = epoch_;
+  in_flight_ = snap.get();
   lk.unlock();
 
   const index_t n = snap->symbolic().n();
@@ -149,13 +167,15 @@ void Session::flush_batch(std::unique_lock<std::mutex>& lk) {
     r->st.solve_seconds = solve_s;
     r->st.solve_tasks = ri.tasks;
     r->st.parallel = ri.parallel;
-    r->st.column_split = ri.column_split;
     r->st.plan_reused = ri.plan_reused;
     r->st.widen_hits = ri.widen_hits;
     r->failed = !error.empty();
     r->error = error;
     r->done = true;
   }
+  // Release the snapshot under mu_ (donate_retired reads its use count).
+  snap.reset();
+  in_flight_ = nullptr;
   flushing_ = false;
   cv_.notify_all();
 }

@@ -98,6 +98,12 @@ private:
   /// with it held. Marks every drained request done (or failed).
   void flush_batch(std::unique_lock<std::mutex>& lk);
 
+  /// Hand the factors the previous refactorize() displaced to the worker's
+  /// buffer pool, once the blocked solve still running on them (if any) has
+  /// released them. Called under refac_mu_, so no pass draws from the pool
+  /// meanwhile.
+  void donate_retired();
+
   SolverOptions opts_;
   Solver worker_;
 
@@ -113,6 +119,11 @@ private:
 
   std::shared_ptr<const SymbolicPlan> plan_;   ///< keeps ord/sf alive for serving_
   std::shared_ptr<NumericFactor> serving_;     ///< current factors (may lag worker_)
+  /// Factors displaced by the last refactorize(), awaiting donate_retired().
+  std::shared_ptr<NumericFactor> retired_;
+  /// Factors the running blocked solve holds (null between flushes). At
+  /// most one flush runs at a time, so this is every snapshot in flight.
+  const NumericFactor* in_flight_ = nullptr;
   std::uint64_t epoch_ = 0;
 };
 

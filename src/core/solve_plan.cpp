@@ -8,65 +8,64 @@
 
 namespace blr::core {
 
-const char* solve_task_kind_name(SolveTaskKind k) {
-  switch (k) {
-    case SolveTaskKind::FwdDiag: return "fwd_diag";
-    case SolveTaskKind::FwdUpd: return "fwd_upd";
-    case SolveTaskKind::BwdUpd: return "bwd_upd";
-    case SolveTaskKind::BwdDiag: return "bwd_diag";
-  }
-  return "?";
-}
-
 SolvePlan SolvePlan::build(const symbolic::SymbolicFactor& sf) {
   SolvePlan p;
   const index_t ncblk = sf.num_cblks();
 
-  // Exact task/access counts so the builder's vectors allocate once.
-  std::uint64_t ntasks = 0, naccess = 0;
+  // The runs of a supernode's bloks facing one supernode: bloks ascend by
+  // row and supernodes partition the rows, so each run is contiguous.
+  const auto for_each_run = [&sf](index_t k, auto&& fn) {
+    const std::vector<symbolic::Blok>& bloks = sf.cblk(k).bloks;
+    const index_t nb = static_cast<index_t>(bloks.size());
+    for (index_t b0 = 0, b1 = 0; b0 < nb; b0 = b1) {
+      const index_t t = bloks[static_cast<std::size_t>(b0)].fcblk;
+      while (b1 < nb && bloks[static_cast<std::size_t>(b1)].fcblk == t) ++b1;
+      fn(t, b0, b1);
+    }
+  };
+  std::uint64_t ngroups = 0;
   for (index_t k = 0; k < ncblk; ++k) {
-    const std::uint64_t nb = sf.cblk(k).bloks.size();
-    ntasks += 2 + 2 * nb;
-    naccess += 2 + 4 * nb;
+    for_each_run(k, [&](index_t, index_t, index_t) { ++ngroups; });
+    const symbolic::Cblk& c = sf.cblk(k);
+    p.entries_ += static_cast<std::uint64_t>(c.width()) *
+                  static_cast<std::uint64_t>(c.width() + c.height());
   }
+  const std::uint64_t ntasks = 2 * static_cast<std::uint64_t>(ncblk) + ngroups;
 
   DepBuilder b;
-  b.reserve(ntasks, naccess);
+  b.reserve(ntasks, 2 * static_cast<std::uint64_t>(ncblk) + 3 * ngroups);
   p.tasks_.reserve(ntasks);
+  p.groups_ = static_cast<std::uint32_t>(ngroups);
   const auto declare = [&](SolveTask t) {
-    const std::uint32_t id = b.add_task();
     p.tasks_.push_back(t);
-    return id;
+    return b.add_task();
   };
-  // RHS row-segment address space: one address per supernode, covering the
-  // segment x[fcol, lcol). Updates land in row *sub-ranges* of the target
-  // segment, so segment granularity is conservative — which is exactly what
-  // serializes overlapping-row accumulations from different descendants into
-  // the sequential order (the write chain that pins bitwise determinism).
+  // RHS row-segment address space: one address per supernode, covering
+  // x[fcol, lcol). A group writes row sub-ranges of its target segment, so
+  // segment granularity is conservative — exactly what serializes the
+  // overlapping accumulations of different descendants into the sequential
+  // order (the write chain that pins bitwise determinism).
   const auto seg = [](index_t k) { return static_cast<std::uint64_t>(k); };
 
-  // Canonical order = the sequential two-sweep execution order of
-  // solve_permuted, so task ids are its sequence numbers and every inferred
-  // edge points forward.
+  // Forward, push-form: a pull-form forward task would wait on every
+  // descendant facing it and put most of the sweep on the critical path;
+  // one task per (k, t) run keeps sibling subtrees independent until their
+  // updates meet in a shared ancestor's write chain.
   for (index_t k = 0; k < ncblk; ++k) {
-    const auto& bloks = sf.cblk(k).bloks;
-    const std::uint32_t did = declare({SolveTaskKind::FwdDiag, k, -1});
-    b.write(did, seg(k));
-    for (index_t bi = 0; bi < static_cast<index_t>(bloks.size()); ++bi) {
-      const std::uint32_t uid = declare({SolveTaskKind::FwdUpd, k, bi});
-      b.read(uid, seg(k));
-      b.write(uid, seg(bloks[static_cast<std::size_t>(bi)].fcblk));
-    }
+    b.write(declare({SolveTaskKind::FwdDiag, k, 0, 0}), seg(k));
+    for_each_run(k, [&](index_t t, index_t b0, index_t b1) {
+      const std::uint32_t id = declare({SolveTaskKind::FwdGroup, k, b0, b1});
+      b.read(id, seg(k));
+      b.write(id, seg(t));
+    });
   }
+  // Backward, pull-form: every ancestor segment k reads is final once its
+  // own Bwd ran, and the only writer of seg(k) is Bwd(k) itself.
   for (index_t k = ncblk; k-- > 0;) {
-    const auto& bloks = sf.cblk(k).bloks;
-    for (index_t bi = 0; bi < static_cast<index_t>(bloks.size()); ++bi) {
-      const std::uint32_t uid = declare({SolveTaskKind::BwdUpd, k, bi});
-      b.read(uid, seg(bloks[static_cast<std::size_t>(bi)].fcblk));
-      b.write(uid, seg(k));
-    }
-    const std::uint32_t did = declare({SolveTaskKind::BwdDiag, k, -1});
-    b.write(did, seg(k));
+    const index_t nb = static_cast<index_t>(sf.cblk(k).bloks.size());
+    const std::uint32_t id = declare({SolveTaskKind::Bwd, k, 0, nb});
+    for_each_run(k, [&](index_t t, index_t, index_t) { b.read(id, seg(t)); });
+    b.write(id, seg(k));
   }
 
   p.deps_ = b.infer();
@@ -89,6 +88,16 @@ SolvePlan SolvePlan::build(const symbolic::SymbolicFactor& sf) {
 
 DepDrainStats SolvePlan::execute(
     ThreadPool* pool, const std::function<bool(std::uint32_t)>& body) const {
+  if (pool == nullptr) {
+    // Every inferred edge points forward, so id order is a topological
+    // order: the in-order drain needs no in-degree bookkeeping.
+    DepDrainStats rs;
+    for (std::uint32_t id = 0; id < num_tasks(); ++id) {
+      ++rs.executed;
+      if (!body(id)) break;
+    }
+    return rs;
+  }
   return drain_deps(deps_, pool, body,
                     [this](std::uint32_t id) { return prio_[id]; });
 }

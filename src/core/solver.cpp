@@ -448,6 +448,7 @@ void Solver::factorize_impl(const sparse::CscMatrix& a, bool warm) {
   const lr::BufferPool::Stats bp = buffers_.stats();
   stats_.buffer_hits = bp.hits;
   stats_.buffer_misses = bp.misses;
+  buffers_.trim();  // leftovers fit none of this pass's blocks
   stats_.refactorizations = refactorizations_;
 
   // Attach the solve context: the schedule comes from the frozen plan's
@@ -473,9 +474,7 @@ void Solver::note_solve(const SolveRunInfo& ri, double seconds) const {
   SolvePhaseStats& sp = st.solve_phase;
   ++sp.solves;
   sp.tasks_executed += ri.tasks;
-  if (ri.column_split) {
-    ++sp.split_solves;
-  } else if (ri.parallel) {
+  if (ri.parallel) {
     ++sp.parallel_solves;
   } else {
     ++sp.sequential_solves;
@@ -648,8 +647,8 @@ void Solver::print_summary(std::ostream& os) const {
   if (stats_.solve_phase.solves > 0) {
     const SolvePhaseStats& sp = stats_.solve_phase;
     os << "  solve         : " << sp.solves << " solves ("
-       << sp.parallel_solves << " dag, " << sp.split_solves << " split, "
-       << sp.sequential_solves << " sequential), " << sp.tasks_executed
+       << sp.parallel_solves << " dag, " << sp.sequential_solves
+       << " sequential), " << sp.tasks_executed
        << " tasks, plan " << sp.plan_builds << " built / " << sp.plan_reuses
        << " reused, trsm " << sp.trsm_seconds << " s, gemm "
        << sp.gemm_seconds << " s";

@@ -108,7 +108,6 @@ struct SolveStats {
   // request (DESIGN.md §16).
   std::uint64_t solve_tasks = 0;   ///< solve-plan task bodies the blocked solve ran
   bool parallel = false;           ///< drained the solve DAG over the solve pool
-  bool column_split = false;       ///< wide batch ran as parallel column chunks
   bool plan_reused = false;        ///< the cached SolvePlan served this solve
   std::uint64_t widen_hits = 0;    ///< fp32 widen-cache hits during the solve
 };
@@ -122,8 +121,10 @@ struct SolvePhaseStats {
   std::uint64_t plan_reuses = 0;       ///< factorizations served by the cache
   std::uint64_t tasks_executed = 0;    ///< solve-plan task bodies run
   std::uint64_t parallel_solves = 0;   ///< solves drained as a DAG on the pool
-  std::uint64_t split_solves = 0;      ///< wide solves run as parallel column chunks
-  std::uint64_t sequential_solves = 0; ///< solves that took the two-sweep loop
+  /// Always 0: the column-split solve path is gone (DESIGN.md §16); the
+  /// field stays for readers of the solve-phase schema.
+  std::uint64_t split_solves = 0;
+  std::uint64_t sequential_solves = 0; ///< solves drained in order on the caller
   std::uint64_t widen_hits = 0;        ///< fp32 widen-cache factor reuses
   std::uint64_t widen_tiles = 0;       ///< tiles held by the current widen cache
   std::size_t widen_bytes = 0;         ///< bytes held by the current widen cache

@@ -24,8 +24,15 @@ namespace blr::lr {
 /// Thread-safe; acquire() is best-fit on element capacity (smallest held
 /// buffer that can hold the request). On the fixed-pattern workload this is
 /// an exact-size hit for every block after the first donation cycle.
+///
+/// Only buffers of at least kMinElems elements pass through the pool:
+/// smaller ones come from the allocator's free lists for less than the
+/// pool's per-buffer bookkeeping (tracker charge, lock, map node), which
+/// measurably slowed warm steps that recycle tens of thousands of tiles.
 class BufferPool {
 public:
+  static constexpr std::size_t kMinElems = 1024;  ///< 8 KiB of fp64
+
   BufferPool() = default;
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
@@ -33,10 +40,10 @@ public:
 
   /// A zeroed rows x cols matrix, recycled from the pool when a buffer of
   /// sufficient capacity is held (counted as a hit), freshly allocated
-  /// otherwise (a miss). Empty requests never touch the pool.
+  /// otherwise (a miss). Requests under kMinElems never touch the pool.
   la::DMatrix acquire(index_t rows, index_t cols) {
     const std::size_t need = static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
-    if (need > 0) {
+    if (need >= kMinElems) {
       std::lock_guard<std::mutex> lk(mu_);
       auto it = free_.lower_bound(need);
       if (it != free_.end()) {
@@ -53,12 +60,12 @@ public:
     return la::DMatrix(rows, cols);
   }
 
-  /// Donate a retired buffer for later reuse. Empty buffers are ignored;
-  /// a buffer whose Workspace charge would breach the memory budget is
-  /// dropped rather than held.
+  /// Donate a retired buffer for later reuse. Buffers under kMinElems are
+  /// freed; a buffer whose Workspace charge would breach the memory budget
+  /// is dropped rather than held.
   void recycle(la::DMatrix m) {
     const std::size_t sz = static_cast<std::size_t>(m.size());
-    if (sz == 0) return;
+    if (sz < kMinElems) return;
     try {
       MemoryTracker::instance().allocate(MemCategory::Workspace, sz * sizeof(real_t));
     } catch (...) {
@@ -90,13 +97,17 @@ public:
   /// re-factorization passes since the last cold start.
   void clear() {
     std::lock_guard<std::mutex> lk(mu_);
-    std::size_t held = 0;
-    for (const auto& [sz, m] : free_) held += sz;
-    if (held > 0)
-      MemoryTracker::instance().release(MemCategory::Workspace, held * sizeof(real_t));
-    free_.clear();
+    drop_held();
     hits_ = 0;
     misses_ = 0;
+  }
+
+  /// Free every held buffer but keep the counters: what a pass left in the
+  /// pool matched none of its requests, so keeping it across passes would
+  /// only let unusable buffers pile up.
+  void trim() {
+    std::lock_guard<std::mutex> lk(mu_);
+    drop_held();
   }
 
   struct Stats {
@@ -110,6 +121,14 @@ public:
   }
 
 private:
+  void drop_held() {
+    std::size_t held = 0;
+    for (const auto& [sz, m] : free_) held += sz;
+    if (held > 0)
+      MemoryTracker::instance().release(MemCategory::Workspace, held * sizeof(real_t));
+    free_.clear();
+  }
+
   mutable std::mutex mu_;
   std::multimap<std::size_t, la::DMatrix> free_;  ///< keyed by element count
   std::uint64_t hits_ = 0;

@@ -391,20 +391,6 @@ public:
     return out;
   }
 
-  /// Surrender the low-rank U/V buffers (tracker fully discharged); the
-  /// fp64 pair is returned, fp32-at-rest factors are promoted first so the
-  /// recycled buffers are always real_t storage. The tile is left empty.
-  [[nodiscard]] std::pair<la::DMatrix, la::DMatrix> release_lowrank() {
-    if (lr_.prec == Precision::Fp32) lr_.promote();
-    std::pair<la::DMatrix, la::DMatrix> out{std::move(lr_.u), std::move(lr_.v)};
-    lr_ = LrMatrix();
-    dense_ = la::DMatrix();
-    rows_ = cols_ = 0;
-    lowrank_ = false;
-    retrack();
-    return out;
-  }
-
   /// Convert a low-rank tile to dense in place.
   void densify() {
     if (!lowrank_) return;

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -411,6 +412,46 @@ TEST(SessionTest, SolvesDuringRefactorizeServeAConsistentEpoch) {
   for (auto& t : solvers) t.join();
   for (const std::string& e : errors) EXPECT_TRUE(e.empty()) << e;
   EXPECT_EQ(session.epoch(), 3u);
+}
+
+// Warm steps under load still recycle the displaced factors' storage: with
+// clients solving continuously, a blocked solve is almost always holding the
+// previous factors when a refactorize() swaps them out, so the session
+// defers the donation until that solve has released them.
+TEST(SessionTest, BufferPoolHitsWithConcurrentClients) {
+  const CscMatrix a0 = sparse::laplacian_3d(8, 8, 8);
+  SolverOptions opts = small_problem_options(
+      Strategy::JustInTime, lr::CompressionKind::Rrqr, Dataflow::Barrier);
+  ASSERT_TRUE(opts.reuse_buffers);
+  Session session(opts);
+  session.refactorize(a0);
+
+  const auto b = seeded_rhs(a0.rows(), 17);
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> solves{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < 3; ++t) {
+    clients.emplace_back([&] {
+      std::vector<real_t> x;
+      while (!stop.load(std::memory_order_relaxed)) {
+        session.solve(b, x);
+        solves.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  constexpr int kWarmSteps = 4;
+  for (int s = 1; s <= kWarmSteps; ++s) {
+    // Let the clients get a blocked solve in flight before each swap.
+    const std::uint64_t seen = solves.load();
+    while (solves.load() < seen + 3) std::this_thread::yield();
+    session.refactorize(step_values(a0, real_t(1) + real_t(0.1) * s,
+                                    real_t(0.05) * s));
+  }
+  stop.store(true);
+  for (auto& t : clients) t.join();
+
+  EXPECT_EQ(session.epoch(), static_cast<std::uint64_t>(kWarmSteps + 1));
+  EXPECT_GT(session.stats().buffer_hits, 0u);
 }
 
 // A governor budget breach mid-refactorize throws out of refactorize() and

@@ -2,16 +2,19 @@
 // DESIGN.md §16).
 //
 // Pins the solve-phase contracts:
-//  - the parallel solve — DAG drain over the solve pool, or column-split
-//    for wide multi-RHS batches — is memcmp-identical to the sequential
-//    two-sweep, across strategies, dataflow engines, precisions, solve
-//    thread counts and RHS widths;
+//  - solutions are bit-identical to pinned hashes captured before the solve
+//    was rebuilt at group granularity, at every solve thread count and RHS
+//    width (so a change shared by the pooled and in-order drains is caught);
+//  - the pooled DAG drain is memcmp-identical to the in-order drain, across
+//    strategies, dataflow engines, precisions, solve thread counts and RHS
+//    widths;
 //  - the SolvePlan is built once per symbolic plan and replayed by every
-//    refactorize (plan_builds/plan_reuses counters);
+//    refactorize (plan_builds/plan_reuses counters), and has one task per
+//    supernode per sweep plus one per (supernode, facing supernode) group;
 //  - the fp32 widen cache is built lazily on the first solve, hit by every
 //    later low-rank apply, and invalidated wholesale by refactorize();
-//  - solve kernels are routed through KernelDispatch (solve_trsm/solve_gemm
-//    rows in the kernel table), including PerSupernode batching;
+//  - every solve task is one KernelDispatch call (solve_trsm/solve_gemm
+//    rows in the kernel table);
 //  - a Session serving concurrent clients over the parallel solve returns
 //    bit-identical answers and reports the solve-phase detail per request.
 
@@ -25,6 +28,7 @@
 #include <vector>
 
 #include "blr.hpp"
+#include "core/kernels_dispatch.hpp"
 #include "core/solve_plan.hpp"
 
 namespace {
@@ -70,7 +74,110 @@ CscMatrix step_values(const CscMatrix& a, real_t scale, real_t shift) {
   return out;
 }
 
-// ---- (a) parallel == sequential, bitwise ----------------------------------
+/// (supernode k, facing supernode t) pairs: the FwdGroup tasks of the plan.
+std::uint64_t count_groups(const symbolic::SymbolicFactor& sf) {
+  std::uint64_t g = 0;
+  for (index_t k = 0; k < sf.num_cblks(); ++k) {
+    index_t last = -1;
+    for (const symbolic::Blok& b : sf.cblk(k).bloks) {
+      if (b.fcblk != last) ++g;
+      last = b.fcblk;
+    }
+  }
+  return g;
+}
+
+std::uint64_t fnv1a(const std::vector<real_t>& x) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto* p = reinterpret_cast<const unsigned char*>(x.data());
+  for (std::size_t i = 0; i < x.size() * sizeof(real_t); ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// ---- (a) the bit contract, anchored to pinned hashes ----------------------
+//
+// FNV-1a of the solution blocks, captured from the per-blok solve (one task
+// per panel block and sweep) this engine replaced. Both drains of today's
+// engine must reproduce them at every solve thread count and width, under
+// every backend (the backends promise the same bits; scripts/ci.sh runs the
+// suite under each).
+
+struct PinnedSolve {
+  const char* matrix;    ///< "lap": LLᵗ lap 10³; "cd": LU conv.-diff. 10³
+  Strategy strategy;
+  TilePrecision precision;
+  index_t nrhs;
+  std::uint64_t hash;
+};
+
+constexpr PinnedSolve kPinned[] = {
+    {"lap", Strategy::Dense, TilePrecision::Fp64, 1, 0x97edbbb9e885c2ffull},
+    {"lap", Strategy::Dense, TilePrecision::Fp64, 3, 0x40b35481dd38a070ull},
+    {"lap", Strategy::Dense, TilePrecision::Fp64, 17, 0x7ec90b4082c2252dull},
+    {"lap", Strategy::JustInTime, TilePrecision::Fp64, 1, 0x04395a3fe79da57aull},
+    {"lap", Strategy::JustInTime, TilePrecision::Fp64, 3, 0x31b05b6774010f07ull},
+    {"lap", Strategy::JustInTime, TilePrecision::Fp64, 17, 0xdd7928cc53dec7caull},
+    {"lap", Strategy::MinimalMemory, TilePrecision::Fp64, 1, 0xc6b9d0da02fd5fe4ull},
+    {"lap", Strategy::MinimalMemory, TilePrecision::Fp64, 3, 0xbc15883e3b25ebe9ull},
+    {"lap", Strategy::MinimalMemory, TilePrecision::Fp64, 17, 0x7254a7d17a9c49e4ull},
+    {"lap", Strategy::JustInTime, TilePrecision::MixedTiles, 1, 0x00a65af9263244dcull},
+    {"lap", Strategy::JustInTime, TilePrecision::MixedTiles, 3, 0x2213c28c760040aeull},
+    {"lap", Strategy::JustInTime, TilePrecision::MixedTiles, 17, 0x38ea0ddf40585c43ull},
+    {"cd", Strategy::Dense, TilePrecision::Fp64, 1, 0x98e71f6b6037dc0dull},
+    {"cd", Strategy::Dense, TilePrecision::Fp64, 3, 0xdc8114909a206aceull},
+    {"cd", Strategy::Dense, TilePrecision::Fp64, 17, 0xda317a7e72c77adeull},
+    {"cd", Strategy::JustInTime, TilePrecision::Fp64, 1, 0x2ab9ae5a75798865ull},
+    {"cd", Strategy::JustInTime, TilePrecision::Fp64, 3, 0xe4e35dadd12dfaaaull},
+    {"cd", Strategy::JustInTime, TilePrecision::Fp64, 17, 0xc550cd29c4e41ec3ull},
+    {"cd", Strategy::MinimalMemory, TilePrecision::Fp64, 1, 0xbb45bb61af8c2d08ull},
+    {"cd", Strategy::MinimalMemory, TilePrecision::Fp64, 3, 0x3017daee54a53339ull},
+    {"cd", Strategy::MinimalMemory, TilePrecision::Fp64, 17, 0x2282afcd76c72bceull},
+    {"cd", Strategy::JustInTime, TilePrecision::MixedTiles, 1, 0xb4adff68db484864ull},
+    {"cd", Strategy::JustInTime, TilePrecision::MixedTiles, 3, 0xe480e1d93d5e43a7ull},
+    {"cd", Strategy::JustInTime, TilePrecision::MixedTiles, 17, 0xd797775c9efe70f8ull},
+};
+
+TEST(SolveBitContract, MatchesPinnedHashes) {
+  const CscMatrix lap = sparse::laplacian_3d(10, 10, 10);
+  const CscMatrix cd = sparse::convection_diffusion_3d(10, 10, 10, 0.5);
+  std::uint64_t pooled = 0;
+  for (const int solve_threads : {1, 2, 8}) {
+    for (std::size_t c = 0; c < std::size(kPinned); c += 3) {
+      const PinnedSolve& cfg = kPinned[c];
+      const bool is_lap = std::string(cfg.matrix) == "lap";
+      const CscMatrix& a = is_lap ? lap : cd;
+      const index_t n = a.rows();
+      SolverOptions o = base_options(cfg.strategy, Dataflow::Barrier,
+                                     cfg.precision, 1);
+      o.factorization = is_lap ? Factorization::Llt : Factorization::Lu;
+      o.solve_parallel = solve_threads > 1;
+      o.solve_threads = solve_threads;
+      Solver solver(o);
+      solver.factorize(a);
+      for (std::size_t w = c; w < c + 3; ++w) {
+        const index_t nrhs = kPinned[w].nrhs;
+        const auto b =
+            seeded_block(n, nrhs, 500 + static_cast<std::uint64_t>(nrhs));
+        std::vector<real_t> x(b.size());
+        solver.solve(la::DConstView(b.data(), n, nrhs, n),
+                     la::DView(x.data(), n, nrhs, n));
+        EXPECT_EQ(fnv1a(x), kPinned[w].hash)
+            << cfg.matrix << " " << core::strategy_name(cfg.strategy)
+            << (cfg.precision == TilePrecision::MixedTiles ? " mixed" : "")
+            << " nrhs " << nrhs << " solve_threads " << solve_threads;
+      }
+      pooled += solver.stats().solve_phase.parallel_solves;
+    }
+  }
+  // The widest blocks drained over the pool (nrhs 1 and 3 are too small
+  // for it on these matrices and drain in order).
+  EXPECT_GT(pooled, 0u);
+}
+
+// ---- (b) pooled drain == in-order drain, bitwise ---------------------------
 
 struct SolveConfig {
   Strategy strategy;
@@ -94,8 +201,7 @@ std::string config_name(const ::testing::TestParamInfo<SolveConfig>& info) {
 class ParallelSolveDeterminism : public ::testing::TestWithParam<SolveConfig> {
 };
 
-// Every execution mode of the parallel solve — small-RHS DAG drain, wide
-// column split — reproduces the sequential sweep bit for bit.
+// The pooled drain reproduces the in-order drain bit for bit.
 TEST_P(ParallelSolveDeterminism, MatchesSequentialBitwise) {
   const SolveConfig cfg = GetParam();
   const CscMatrix a = sparse::laplacian_3d(10, 10, 10);
@@ -113,10 +219,14 @@ TEST_P(ParallelSolveDeterminism, MatchesSequentialBitwise) {
   seq.factorize(a);
   par.factorize(a);
 
-  // nrhs 1 and 3 stay under the 2×threads split threshold (DAG drain);
-  // 4×threads forces the column-split path.
-  const index_t widths[] = {1, 3,
-                            static_cast<index_t>(4 * cfg.solve_threads)};
+  // nrhs 1 and 3 are too small for the pool here (SolvePlan::pays_pool)
+  // and drain in order on both solvers; the narrowest block that pays for
+  // the pool, and 4×threads when wider, drain over it.
+  index_t pooled = 1;
+  while (!par.plan()->solve_plan()->pays_pool(pooled)) ++pooled;
+  const index_t widths[] = {
+      1, 3, pooled,
+      std::max(pooled, static_cast<index_t>(4 * cfg.solve_threads))};
   for (const index_t nrhs : widths) {
     const auto b = seeded_block(n, nrhs, 1000 + static_cast<std::uint64_t>(nrhs));
     std::vector<real_t> xs(b.size()), xp(b.size());
@@ -128,14 +238,12 @@ TEST_P(ParallelSolveDeterminism, MatchesSequentialBitwise) {
         << "nrhs = " << nrhs;
   }
 
-  // The parallel paths actually engaged (and the sequential solver never
+  // The pooled drain actually engaged (and the sequential solver never
   // touched its — nonexistent — pool).
   const core::SolvePhaseStats& sp = par.stats().solve_phase;
   EXPECT_GT(sp.parallel_solves, 0u);
-  EXPECT_GT(sp.split_solves, 0u);
   EXPECT_GT(sp.tasks_executed, 0u);
   EXPECT_EQ(seq.stats().solve_phase.parallel_solves, 0u);
-  EXPECT_EQ(seq.stats().solve_phase.split_solves, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -155,8 +263,8 @@ INSTANTIATE_TEST_SUITE_P(
                     TilePrecision::MixedTiles, 1, 2}),
     config_name);
 
-// PerSupernode batching groups the forward-sweep applies without changing a
-// bit relative to eager dispatch.
+// PerSupernode batching (a factorization mode; the solve never batches)
+// leaves every solve bit unchanged relative to eager dispatch.
 TEST(SolveBatching, PerSupernodeMatchesEagerBitwise) {
   const CscMatrix a = sparse::laplacian_3d(10, 10, 10);
   const index_t n = a.rows();
@@ -179,18 +287,9 @@ TEST(SolveBatching, PerSupernodeMatchesEagerBitwise) {
   sb.solve(la::DConstView(b.data(), n, nrhs, n),
            la::DView(xb.data(), n, nrhs, n));
   EXPECT_EQ(0, std::memcmp(xe.data(), xb.data(), xe.size() * sizeof(real_t)));
-
-  // The batch layer really carried solve gemms.
-  bool batched_solve_gemm = false;
-  for (const core::DispatchCount& d : sb.stats().dispatch) {
-    if (d.kernel.rfind("solve_gemm", 0) == 0 && d.batched_calls > 0) {
-      batched_solve_gemm = true;
-    }
-  }
-  EXPECT_TRUE(batched_solve_gemm);
 }
 
-// ---- (b) solve plan: built once, replayed by every refactorize ------------
+// ---- (c) solve plan: built once, replayed by every refactorize ------------
 
 TEST(SolvePlanCache, BuiltOnceReusedAcrossRefactorize) {
   const CscMatrix a1 = sparse::laplacian_3d(8, 8, 8);
@@ -208,15 +307,13 @@ TEST(SolvePlanCache, BuiltOnceReusedAcrossRefactorize) {
   const auto p2 = solver.plan()->solve_plan();
   EXPECT_EQ(p1.get(), p2.get());
 
-  // Structure: two sweeps of one diagonal task per supernode plus one task
-  // per panel block each, all reachable, with a forward+backward critical
-  // path of at least 2×(deepest chain).
+  // Structure: one FwdDiag and one Bwd per supernode plus one FwdGroup per
+  // (supernode, facing supernode) pair.
   const core::SymbolicPlan& plan = *solver.plan();
-  std::uint64_t expect = 0;
-  for (index_t k = 0; k < plan.sf.num_cblks(); ++k) {
-    expect += 2 + 2 * plan.sf.cblk(k).bloks.size();
-  }
-  EXPECT_EQ(p1->num_tasks(), expect);
+  const std::uint64_t groups = count_groups(plan.sf);
+  EXPECT_EQ(p1->num_groups(), groups);
+  EXPECT_EQ(p1->num_tasks(),
+            2 * static_cast<std::uint64_t>(plan.sf.num_cblks()) + groups);
   EXPECT_GT(p1->critical_path(), 0u);
 
   solver.refactorize(a2);
@@ -230,7 +327,7 @@ TEST(SolvePlanCache, BuiltOnceReusedAcrossRefactorize) {
   EXPECT_EQ(solver.stats().solve_phase.plan_builds, 1u);
 }
 
-// ---- (c) fp32 widen cache: lazy build, hits, refactorize invalidation -----
+// ---- (d) fp32 widen cache: lazy build, hits, refactorize invalidation -----
 
 TEST(WidenCache, BuiltOnFirstSolveInvalidatedByRefactorize) {
   const CscMatrix a1 = sparse::laplacian_3d(12, 12, 12);
@@ -269,7 +366,7 @@ TEST(WidenCache, BuiltOnFirstSolveInvalidatedByRefactorize) {
   EXPECT_LT(sparse::backward_error(a2, x.data(), b.data()), 1e-4);
 }
 
-// ---- (d) dispatch integration: solve kernels in the table -----------------
+// ---- (e) dispatch integration: one dispatch per solve task ----------------
 
 TEST(SolveDispatch, SolveKernelsCountedInKernelTable) {
   const CscMatrix a = sparse::laplacian_3d(12, 12, 12);
@@ -282,22 +379,62 @@ TEST(SolveDispatch, SolveKernelsCountedInKernelTable) {
   std::vector<real_t> x(b.size());
   solver.solve(b.data(), x.data());
 
-  std::uint64_t trsm_calls = 0, gemm_calls = 0, lr32_calls = 0;
+  std::uint64_t trsm_calls = 0, gemm_calls = 0;
   for (const core::DispatchCount& d : solver.stats().dispatch) {
     if (d.kernel.rfind("solve_trsm", 0) == 0) trsm_calls += d.calls;
     if (d.kernel.rfind("solve_gemm", 0) == 0) gemm_calls += d.calls;
-    if (d.kernel == "solve_gemm[lr32]") lr32_calls += d.calls;
   }
-  // Two trsm per supernode (forward + backward).
+  // Two trsm per supernode (FwdDiag + Bwd), one gemm per forward group.
   EXPECT_EQ(trsm_calls,
             2 * static_cast<std::uint64_t>(solver.stats().num_cblks));
-  EXPECT_GT(gemm_calls, 0u);
-  // fp32-at-rest tiles route through the widened-operand lr32 kernel row.
-  EXPECT_GT(lr32_calls, 0u);
+  EXPECT_EQ(gemm_calls, solver.plan()->solve_plan()->num_groups());
+  // fp32-at-rest tiles are read through the widen cache.
+  EXPECT_GT(solver.stats().solve_phase.widen_hits, 0u);
   EXPECT_GT(solver.stats().solve_phase.tasks_executed, 0u);
 }
 
-// ---- (e) session: concurrent clients over the parallel solve --------------
+// A solve runs exactly 2·ncblk + #groups tasks, each one kernel dispatch:
+// no per-blok dispatch is left, in order (single RHS) or pooled (the
+// narrowest block that pays for the pool).
+TEST(SolveDispatch, OneDispatchPerTask) {
+  const CscMatrix a = sparse::laplacian_3d(12, 12, 12);
+  SolverOptions opts = base_options(Strategy::JustInTime, Dataflow::Barrier,
+                                    TilePrecision::Fp64, 1);
+  opts.solve_threads = 4;
+  Solver solver(opts);
+  solver.factorize(a);
+  const core::SymbolicPlan& plan = *solver.plan();
+  const std::uint64_t expect =
+      2 * static_cast<std::uint64_t>(plan.sf.num_cblks()) +
+      count_groups(plan.sf);
+  const auto dispatches = [] {
+    std::uint64_t calls = 0;
+    for (const core::DispatchCount& d :
+         core::KernelDispatch::instance().snapshot()) {
+      if (d.kernel.rfind("solve_", 0) == 0) calls += d.calls;
+    }
+    return calls;
+  };
+  index_t pooled = 1;
+  while (!plan.solve_plan()->pays_pool(pooled)) ++pooled;
+  for (const index_t nrhs : {index_t{1}, pooled}) {
+    const core::SolvePhaseStats before = solver.stats().solve_phase;
+    const std::uint64_t calls = dispatches();
+    const auto b = seeded_block(a.rows(), nrhs, 21);
+    std::vector<real_t> x(b.size());
+    solver.solve(la::DConstView(b.data(), a.rows(), nrhs, a.rows()),
+                 la::DView(x.data(), a.rows(), nrhs, a.rows()));
+    const core::SolvePhaseStats& sp = solver.stats().solve_phase;
+    EXPECT_EQ(sp.tasks_executed - before.tasks_executed, expect)
+        << "nrhs " << nrhs;
+    EXPECT_LE(dispatches() - calls, expect) << "nrhs " << nrhs;
+    EXPECT_EQ(sp.parallel_solves - before.parallel_solves,
+              nrhs == pooled ? 1u : 0u)
+        << "nrhs " << nrhs;
+  }
+}
+
+// ---- (f) session: concurrent clients over the parallel solve --------------
 
 TEST(SessionParallelSolve, ConcurrentClientsBitIdenticalToSequential) {
   const CscMatrix a = sparse::laplacian_3d(10, 10, 10);
@@ -343,20 +480,21 @@ TEST(SessionParallelSolve, ConcurrentClientsBitIdenticalToSequential) {
                              static_cast<std::size_t>(n) * sizeof(real_t)))
         << "client " << i;
     // Per-request solve-phase detail: the blocked solve that served each
-    // request ran on the solve engine (DAG drain or column split) with the
-    // cached plan attached, and reported its task count.
+    // request ran the cached plan — over the solve pool exactly when its
+    // width pays for the pool (only session solves use the engine here, so
+    // its lock is always free) — and reported its task count.
     const SolveStats& s = st[static_cast<std::size_t>(i)];
-    EXPECT_TRUE(s.parallel || s.column_split) << "client " << i;
+    EXPECT_EQ(s.parallel, session.solver().plan()->solve_plan()->pays_pool(
+                              s.batch_size))
+        << "client " << i;
     EXPECT_GT(s.solve_tasks, 0u) << "client " << i;
-    if (s.parallel) {
-      EXPECT_TRUE(s.plan_reused) << "client " << i;
-    }
+    EXPECT_TRUE(s.plan_reused) << "client " << i;
   }
 }
 
 // Direct Solver::solve entry points racing the session's queue must not
-// deadlock or corrupt results: the engine lock's loser falls back to the
-// sequential sweep, which is bit-identical anyway.
+// deadlock or corrupt results: the engine lock's loser drains in order,
+// which is bit-identical anyway.
 TEST(SessionParallelSolve, EngineContentionFallsBackSequentially) {
   const CscMatrix a = sparse::laplacian_3d(8, 8, 8);
   const index_t n = a.rows();
@@ -365,28 +503,36 @@ TEST(SessionParallelSolve, EngineContentionFallsBackSequentially) {
   opts.solve_threads = 2;
   Solver solver(opts);
   solver.factorize(a);
+  // The narrowest block wide enough to want the pool, so every racer
+  // contends for the engine lock.
+  index_t nrhs = 1;
+  while (!solver.plan()->solve_plan()->pays_pool(nrhs)) ++nrhs;
+  const std::size_t len = static_cast<std::size_t>(n) * static_cast<std::size_t>(nrhs);
 
-  const auto b = seeded_block(n, 1, 321);
-  std::vector<real_t> want(static_cast<std::size_t>(n));
-  solver.solve(b.data(), want.data());
+  const auto b = seeded_block(n, nrhs, 321);
+  std::vector<real_t> want(len);
+  solver.solve(la::DConstView(b.data(), n, nrhs, n),
+               la::DView(want.data(), n, nrhs, n));
+  EXPECT_EQ(solver.stats().solve_phase.parallel_solves, 1u);
 
   constexpr int kRacers = 6;
   std::vector<std::vector<real_t>> xs(kRacers);
   std::vector<std::thread> racers;
   racers.reserve(kRacers);
   for (int i = 0; i < kRacers; ++i) {
-    xs[static_cast<std::size_t>(i)].resize(static_cast<std::size_t>(n));
+    xs[static_cast<std::size_t>(i)].resize(len);
     racers.emplace_back([&, i] {
       // NumericFactor::solve is const and safe under concurrent callers;
       // stats capture is skipped to keep the race on the engine lock only.
-      solver.numeric().solve(b.data(), xs[static_cast<std::size_t>(i)].data());
+      solver.numeric().solve(
+          la::DConstView(b.data(), n, nrhs, n),
+          la::DView(xs[static_cast<std::size_t>(i)].data(), n, nrhs, n));
     });
   }
   for (auto& t : racers) t.join();
   for (int i = 0; i < kRacers; ++i) {
     ASSERT_EQ(0, std::memcmp(xs[static_cast<std::size_t>(i)].data(),
-                             want.data(),
-                             static_cast<std::size_t>(n) * sizeof(real_t)))
+                             want.data(), len * sizeof(real_t)))
         << "racer " << i;
   }
 }
