@@ -61,10 +61,15 @@ run_tsan() {
         -R 'thread_pool|ParallelDeterminism|Trace'
 }
 
-# Documentation lint: every SolverOptions field must carry a doc comment —
-# either a /// block on the preceding line(s) or a trailing ///< — so the
-# README options table cannot silently drift from the header. Fails listing
-# the undocumented fields.
+# Documentation lint, two checks that keep the README options table and
+# the header in step:
+#  - every SolverOptions field carries a doc comment — either a /// block
+#    on the preceding line(s) or a trailing ///<;
+#  - every `| `field` |` row of README's options table (the one headed
+#    `| option | default | meaning |`) names an existing SolverOptions
+#    field (dotted rows such as `recovery.enabled` by their first part), so
+#    a deleted knob cannot stay documented.
+# Fails listing the offending fields or rows.
 run_docs() {
   awk '
     /^struct SolverOptions/ { in_struct = 1; next }
@@ -87,12 +92,43 @@ run_docs() {
     END { exit bad }
   ' src/core/options.hpp
   echo "ci[docs]: every SolverOptions field is documented"
+
+  local fields
+  fields="$(awk '
+    /^struct SolverOptions/ { in_struct = 1; next }
+    !in_struct              { next }
+    /^};/                   { exit }
+    {
+      line = $0
+      sub(/\/\/.*/, "", line)                 # drop comments
+      if (line !~ /;[ \t]*$/) next            # member declarations only
+      sub(/[ \t]*(=.*)?;[ \t]*$/, "", line)   # drop initializer and ;
+      n = split(line, words, /[ \t]+/)
+      print words[n]
+    }
+  ' src/core/options.hpp)"
+  awk -v fields="$fields" '
+    BEGIN { n = split(fields, f, "\n"); for (i = 1; i <= n; ++i) known[f[i]] = 1 }
+    /^\| option \| default \| meaning \|/ { in_table = 1; next }
+    in_table && !/^\|/                    { in_table = 0 }
+    in_table && match($0, /^\| `[^`]+` \|/) {
+      name = substr($0, 4, RLENGTH - 6)
+      sub(/\..*/, "", name)
+      if (!(name in known)) {
+        printf "ci[docs]: README options row names no SolverOptions field: %s\n", name
+        bad = 1
+      }
+    }
+    END { exit bad }
+  ' README.md
+  echo "ci[docs]: every README options row names a SolverOptions field"
 }
 
 # Performance smoke: Release builds of bench_kernels and bench_refactorize
 # run in --quick mode. Each bench enforces its own floor — packed gemm must
-# not be >10% slower than the old loop nests at n=k=256, the
-# Batching::PerSupernode end-to-end run must actually form batches, the
+# not be >10% slower than the old loop nests at n=k=256, the nproc-thread
+# JIT factorize of convection-diffusion 16³ must be at least as fast as the
+# 1-thread one (best of 5, timed alternately in the same run), the
 # re-factorization trajectory must actually reuse the plan/buffers/rank
 # hints, and the 4-thread solve must keep ≥ 0.9x the 1-thread solve
 # throughput at every nrhs, both timed in the same run — and exits nonzero
@@ -110,7 +146,7 @@ run_perfsmoke() {
   cp build-ci-perfsmoke/bench_kernels.json BENCH_kernels.json
   cp build-ci-perfsmoke/bench_refactorize.json BENCH_refactorize.json
   python3 scripts/bench_trajectory.py BENCH_kernels.json BENCH_refactorize.json
-  echo "ci[perfsmoke]: packed gemm, batching, refactorize reuse and solve scaling within bounds"
+  echo "ci[perfsmoke]: packed gemm, factorize thread scaling, refactorize reuse and solve scaling within bounds"
 }
 
 # Backend A/B: the full tier-1 suite twice against ONE Debug build — once

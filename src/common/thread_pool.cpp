@@ -1,7 +1,9 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <limits>
+#include <utility>
 
 #include "common/kernel_stats.hpp"
 
@@ -27,14 +29,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
 constexpr int kSpinRounds = 32;
 
 } // namespace
-
-const char* scheduler_name(SchedulerKind k) {
-  switch (k) {
-    case SchedulerKind::WorkStealing: return "work-stealing";
-    case SchedulerKind::SharedQueue: return "shared-queue";
-  }
-  return "?";
-}
 
 // ---------------------------------------------------------------------------
 // Chase–Lev deque
@@ -119,7 +113,7 @@ ThreadPool::Task* ThreadPool::Deque::steal() {
 // Pool
 // ---------------------------------------------------------------------------
 
-ThreadPool::ThreadPool(int num_threads, SchedulerKind kind) : kind_(kind) {
+ThreadPool::ThreadPool(int num_threads) {
   if (num_threads <= 0) {
     num_threads = static_cast<int>(std::thread::hardware_concurrency());
     if (num_threads <= 0) num_threads = 1;
@@ -143,10 +137,6 @@ ThreadPool::~ThreadPool() {
     std::lock_guard lock(sleep_mutex_);
   }
   cv_task_.notify_all();
-  if (kind_ == SchedulerKind::SharedQueue) {
-    std::lock_guard lock(shared_mutex_);
-  }
-  cv_shared_.notify_all();
   for (auto& t : threads_) t.join();
   // Workers drain every queued task before exiting, so nothing leaks here.
 }
@@ -157,15 +147,6 @@ void ThreadPool::submit(std::function<void()> task, std::int64_t priority) {
   Task* t = new Task{std::move(task), priority,
                      seq_.fetch_add(1, std::memory_order_relaxed)};
   pending_.fetch_add(1, std::memory_order_seq_cst);
-
-  if (kind_ == SchedulerKind::SharedQueue) {
-    {
-      std::lock_guard lock(shared_mutex_);
-      shared_.push_back(t);
-    }
-    cv_shared_.notify_one();
-    return;
-  }
 
   if (tl_pool == this && tl_worker >= 0) {
     workers_[static_cast<std::size_t>(tl_worker)]->deque.push(t);
@@ -259,25 +240,6 @@ void ThreadPool::worker_loop(int id) {
   tl_worker = id;
   Worker& me = *workers_[static_cast<std::size_t>(id)];
 
-  if (kind_ == SchedulerKind::SharedQueue) {
-    for (;;) {
-      Task* t = nullptr;
-      {
-        std::unique_lock lock(shared_mutex_);
-        if (shared_.empty()) {
-          me.idle_sleeps.fetch_add(1, std::memory_order_relaxed);
-          cv_shared_.wait(lock, [this] {
-            return stop_.load(std::memory_order_relaxed) || !shared_.empty();
-          });
-        }
-        if (shared_.empty()) return;  // stopped and drained
-        t = shared_.front();
-        shared_.pop_front();
-      }
-      run_task(t, me);
-    }
-  }
-
   for (;;) {
     Task* t = me.deque.pop();
     if (!t) t = pop_injected();
@@ -335,6 +297,9 @@ void ThreadPool::parallel_for(index_t n, const std::function<void(index_t)>& f) 
   struct State {
     std::atomic<index_t> next{0};
     std::atomic<index_t> done{0};
+    std::atomic<bool> failed{false};
+    std::mutex error_mutex;
+    std::exception_ptr error;  ///< first exception thrown by f
     const std::function<void(index_t)>* f = nullptr;
     index_t n = 0;
     index_t chunk = 1;
@@ -349,7 +314,19 @@ void ThreadPool::parallel_for(index_t n, const std::function<void(index_t)>& f) 
       const index_t begin = s->next.fetch_add(s->chunk, std::memory_order_relaxed);
       if (begin >= s->n) return;
       const index_t end = std::min(begin + s->chunk, s->n);
-      for (index_t i = begin; i < end; ++i) (*s->f)(i);
+      // After a failure the remaining indices are skipped, but every claimed
+      // chunk still counts as done so the caller's wait ends. Exceptions
+      // never leave the body: on a helper they would escape worker_loop.
+      for (index_t i = begin;
+           i < end && !s->failed.load(std::memory_order_relaxed); ++i) {
+        try {
+          (*s->f)(i);
+        } catch (...) {
+          std::lock_guard lock(s->error_mutex);
+          if (!s->error) s->error = std::current_exception();
+          s->failed.store(true, std::memory_order_relaxed);
+        }
+      }
       s->done.fetch_add(end - begin, std::memory_order_acq_rel);
     }
   };
@@ -369,6 +346,9 @@ void ThreadPool::parallel_for(index_t n, const std::function<void(index_t)>& f) 
   while (st->done.load(std::memory_order_acquire) < n) {
     std::this_thread::yield();
   }
+  // Move the exception out so its last reference drops on this thread, not
+  // in whichever helper happens to release the shared state last.
+  if (st->error) std::rethrow_exception(std::exchange(st->error, nullptr));
 }
 
 std::vector<ThreadPool::WorkerStats> ThreadPool::worker_stats() const {

@@ -9,7 +9,6 @@
 
 #include "common/error.hpp"
 #include "common/kernel_stats.hpp"
-#include "core/kernel_batch.hpp"
 #include "core/kernels_dispatch.hpp"
 
 namespace blr::core {
@@ -659,17 +658,8 @@ void NumericFactor::dag_compress(const DagTask& t) {
   lr::Tile& blk =
       (t.upper ? cd.upanel : cd.lpanel)[static_cast<std::size_t>(t.bi)];
   const symbolic::Blok& sb = sf_.cblk(t.k).bloks[static_cast<std::size_t>(t.bi)];
-  if (opts_.batching == Batching::PerSupernode) {
-    // Per-task batches are width-1, but the kernels still route through
-    // run_batch so batching counters and the pack cache stay engaged.
-    KernelBatch batch(nullptr);
-    policy_->at_elimination(t.k, BlockSite{t.bi, t.upper}, blk,
-                            compressible(t.k, sb), pctx_, &batch);
-    batch.execute();
-  } else {
-    policy_->at_elimination(t.k, BlockSite{t.bi, t.upper}, blk,
-                            compressible(t.k, sb), pctx_, nullptr);
-  }
+  policy_->at_elimination(t.k, BlockSite{t.bi, t.upper}, blk,
+                          compressible(t.k, sb), pctx_);
   epochs_->advance(addr, EpochGate::kAssembled, EpochGate::kEliminating);
 }
 
@@ -682,18 +672,6 @@ void NumericFactor::dag_trsm(const DagTask& t) {
       (t.upper ? cd.upanel : cd.lpanel)[static_cast<std::size_t>(t.bi)];
   if (blk.rank() == 0) {
     blk.advance(lr::TileState::Factored);
-  } else if (opts_.batching == Batching::PerSupernode) {
-    KernelBatch batch(nullptr);
-    lr::Tile* bp = &blk;
-    KernelCtx& kc = batch.enqueue(
-        KernelOp::Trsm, rep_of(blk), prec_of(blk), Rep::None, Prec::Fp64,
-        [bp](KernelCtx&) { bp->advance(lr::TileState::Factored); });
-    kc.c = bp;
-    kc.diag = &cd.diag.dense();
-    kc.piv = &cd.ipiv;
-    kc.llt = llt_;
-    kc.upper = t.upper;
-    batch.execute();
   } else {
     dispatch::panel_solve(cd.diag, cd.ipiv, blk, llt_, t.upper);
     blk.advance(lr::TileState::Factored);
@@ -729,24 +707,8 @@ void NumericFactor::dag_product(const DagTask& t) {
     // whole update defers to the (chained) apply task.
     slot->dense_pair = true;
   } else {
-    const bool need_ortho = update_need_ortho(slot->loc);
-    if (opts_.batching == Batching::PerSupernode) {
-      KernelBatch batch(nullptr);
-      DagUpdateSlot* s = slot.get();
-      KernelCtx& kc = batch.enqueue(
-          KernelOp::Gemm, rep_of(*a), prec_of(*a), rep_of(*b), prec_of(*b),
-          [s](KernelCtx& done) { s->prod = std::move(done.out); });
-      kc.a = a;
-      kc.b = b;
-      kc.kind = opts_.kind;
-      kc.tolerance = opts_.tolerance;
-      kc.need_ortho = need_ortho;
-      kc.out_cat = MemCategory::Workspace;
-      batch.execute();
-    } else {
-      slot->prod =
-          dispatch::product(*a, *b, opts_.kind, opts_.tolerance, need_ortho);
-    }
+    slot->prod = dispatch::product(*a, *b, opts_.kind, opts_.tolerance,
+                                   update_need_ortho(slot->loc));
   }
   dag_slots_[t.slot] = std::move(slot);
 }
@@ -783,15 +745,11 @@ void NumericFactor::eliminate(index_t k) {
     // Right-looking updates on the trailing supernodes. Large panels are
     // split into segments of facing bloks (whole update groups, DESIGN.md
     // §9) submitted as subtasks, so the updates of one huge supernode
-    // spread across the pool instead of pinning a single worker
-    // (work-stealing scheduler only: a subtask storm on the shared queue
-    // just adds contention).
+    // spread across the pool instead of pinning a single worker.
     const symbolic::Cblk& c = sf_.cblk(k);
     const index_t nb = static_cast<index_t>(c.bloks.size());
-    const bool split = pool_ != nullptr &&
-                       pool_->kind() == SchedulerKind::WorkStealing &&
-                       opts_.panel_split_rows > 0 && nb >= 2 &&
-                       c.height() >= opts_.panel_split_rows;
+    const bool split = pool_ != nullptr && opts_.panel_split_rows > 0 &&
+                       nb >= 2 && c.height() >= opts_.panel_split_rows;
     if (!split) {
       update_range(k, 0, nb, *img);
     } else {
@@ -841,10 +799,6 @@ void NumericFactor::eliminate(index_t k) {
 void NumericFactor::update_range(index_t k, index_t jb, index_t je,
                                  PanelImage& img) {
   if (failed_.load(std::memory_order_relaxed)) return;
-  if (opts_.batching == Batching::PerSupernode) {
-    update_range_batched(k, jb, je, img);
-    return;
-  }
   try {
     std::vector<GroupPair> pairs;
     for (index_t f = jb; f < je; ++f) {
@@ -856,74 +810,6 @@ void NumericFactor::update_range(index_t k, index_t jb, index_t je,
       const index_t target = collect_group(k, f, pairs);
       apply_group(k, f, pairs.data(), pairs.size(), img);
       release_group(target);
-    }
-  } catch (ResourceError& e) {
-    stamp_resource(e.report(), k);
-    record_resource_failure(std::move(e.report()));
-  } catch (const NumericalError& e) {
-    record_failure(e.report());
-  } catch (const std::exception& e) {
-    record_failure(make_report(FailureKind::Unknown, k, -1, std::nan(""),
-                               e.what()));
-  }
-}
-
-void NumericFactor::update_range_batched(index_t k, index_t jb, index_t je,
-                                         PanelImage& img) {
-  try {
-    // Phase 1: collect every group of the range, then enqueue the low-rank-
-    // operand contribution products (after the last push, so the pointers
-    // the completions capture stay valid). The operands are factored tiles
-    // of supernode k (immutable from here on), so the products are
-    // independent and free of the target locks — exactly what run_batch
-    // requires. Dense pairs are NOT pre-batched: they fuse into the target,
-    // whose representation can change under the lock before the apply
-    // phase.
-    const symbolic::Cblk& c = sf_.cblk(k);
-    std::vector<GroupPair> pairs;
-    std::vector<std::size_t> starts;
-    starts.reserve(static_cast<std::size_t>(je - jb) + 1);
-    for (index_t f = jb; f < je; ++f) {
-      if (failed_.load(std::memory_order_relaxed)) return;
-      poll_deadline(k);
-      starts.push_back(pairs.size());
-      collect_group(k, f, pairs);
-    }
-    starts.push_back(pairs.size());
-    KernelBatch batch(pool_);
-    for (GroupPair& p : pairs) {
-      if (!p.lowrank) continue;
-      // The KernelCtx (and its `out` tile) dies when execute() clears the
-      // batch, so the completion — which runs before the clear — moves the
-      // product into the pair for the apply phase.
-      GroupPair* slot = &p;
-      KernelCtx& kc = batch.enqueue(
-          KernelOp::Gemm, rep_of(*p.a), prec_of(*p.a), rep_of(*p.b),
-          prec_of(*p.b),
-          [slot](KernelCtx& done) {
-            slot->prod = std::move(done.out);
-            slot->formed = true;
-          });
-      kc.a = p.a;
-      kc.b = p.b;
-      kc.kind = opts_.kind;
-      kc.tolerance = opts_.tolerance;
-      kc.need_ortho = update_need_ortho(p.loc);
-      kc.out_cat = MemCategory::Workspace;
-    }
-    batch.execute();
-
-    // Phase 2: apply the groups sequentially in group order — every
-    // mutation of shared engine state (GEMMs, extend-adds, LUAR appends,
-    // dependency counters) happens on this thread in exactly the order the
-    // eager loop produces, which is what makes Off-vs-PerSupernode
-    // bit-identical for the sequential schedule.
-    for (index_t f = jb; f < je; ++f) {
-      if (failed_.load(std::memory_order_relaxed)) return;
-      const std::size_t g = static_cast<std::size_t>(f - jb);
-      apply_group(k, f, pairs.data() + starts[g], starts[g + 1] - starts[g],
-                  img);
-      release_group(c.bloks[static_cast<std::size_t>(f)].fcblk);
     }
   } catch (ResourceError& e) {
     stamp_resource(e.report(), k);
@@ -984,25 +870,38 @@ void NumericFactor::factor_panel(index_t k, PanelImage& img) {
     // the blocks that are (still) dense — e.g. after an extend-add
     // transiently exceeded the storage-beneficial rank — which keeps the
     // final factor size of the scenarios similar, as the paper reports.
-    const bool batched = opts_.batching == Batching::PerSupernode;
-    {
-      // Under PerSupernode the policy enqueues its compressions into one
-      // batch per supernode (executed at the panel boundary below) instead
-      // of dispatching them eagerly; the completions install the results in
-      // the same order the eager loop would.
-      KernelBatch compress_batch(pool_);
-      const auto hook_panel = [&](std::vector<lr::Tile>& panel, bool upper) {
+    if (policy_->compresses_at_elimination()) {
+      // The panel's compression attempts — every tile still dense and
+      // compressible, L side then U side. Each writes only its own tile, so
+      // with a pool attached they run as one parallel loop (DESIGN.md §11)
+      // and the factors are bit-identical to the in-order loop.
+      struct Site {
+        lr::Tile* t;
+        index_t idx;
+        bool upper;
+      };
+      std::vector<Site> sites;
+      const auto collect = [&](std::vector<lr::Tile>& panel, bool upper) {
         for (std::size_t idx = 0; idx < panel.size(); ++idx) {
-          // Early exit at panel granularity once a sibling has failed.
-          if (failed_.load(std::memory_order_relaxed)) return;
-          policy_->at_elimination(k, BlockSite{static_cast<index_t>(idx), upper},
-                                  panel[idx], compressible(k, c.bloks[idx]),
-                                  pctx_, batched ? &compress_batch : nullptr);
+          if (!panel[idx].is_lowrank() && compressible(k, c.bloks[idx]))
+            sites.push_back({&panel[idx], static_cast<index_t>(idx), upper});
         }
       };
-      hook_panel(cd.lpanel, /*upper=*/false);
-      if (!llt_) hook_panel(cd.upanel, /*upper=*/true);
-      compress_batch.execute();
+      collect(cd.lpanel, /*upper=*/false);
+      if (!llt_) collect(cd.upanel, /*upper=*/true);
+      const auto hook = [&](index_t i) {
+        // Early exit once a sibling (or another compression) has failed.
+        if (failed_.load(std::memory_order_relaxed)) return;
+        const Site& st = sites[static_cast<std::size_t>(i)];
+        policy_->at_elimination(k, BlockSite{st.idx, st.upper}, *st.t,
+                                /*compressible=*/true, pctx_);
+      };
+      const index_t n = static_cast<index_t>(sites.size());
+      if (pool_ != nullptr && n >= 2) {
+        pool_->parallel_for(n, hook);
+      } else {
+        for (index_t i = 0; i < n; ++i) hook(i);
+      }
       if (failed_.load(std::memory_order_relaxed)) return;
     }
 
@@ -1012,59 +911,26 @@ void NumericFactor::factor_panel(index_t k, PanelImage& img) {
       // back: the rows of a right-side solve are independent, so every row
       // gets the bits of its per-tile solve. The image stays valid for the
       // updates that follow in this task. Low-rank tiles keep their
-      // per-tile solve. Under PerSupernode all of a panel's solves form one
-      // batch (they read the immutable factored diagonal and write disjoint
-      // storage); L and U share the Trsm dispatch key — the upper flag
-      // travels per-entry in the ctx.
+      // per-tile solve.
       pack_panel(k, 0, img);
-      KernelBatch trsm_batch(pool_);
       const auto solve_panel = [&](std::vector<lr::Tile>& panel, bool upper) {
         const index_t rows = upper ? img.urows : img.lrows;
         if (rows > 0) {
           const la::DView v((upper ? img.u : img.l).data(), rows, c.width(),
                             rows);
-          if (!batched) {
-            dispatch::panel_solve(cd.diag, cd.ipiv, v, llt_, upper);
-            unpack_panel(k, img, upper);
-          } else {
-            KernelCtx& kc = trsm_batch.enqueue(
-                KernelOp::Trsm, Rep::Dense, Prec::Fp64, Rep::None, Prec::Fp64,
-                [this, k, &img, upper](KernelCtx&) {
-                  unpack_panel(k, img, upper);
-                });
-            kc.view = v;
-            kc.diag = &cd.diag.dense();
-            kc.piv = &cd.ipiv;
-            kc.llt = llt_;
-            kc.upper = upper;
-          }
+          dispatch::panel_solve(cd.diag, cd.ipiv, v, llt_, upper);
+          unpack_panel(k, img, upper);
         }
         for (auto& blk : panel) {
           if (failed_.load(std::memory_order_relaxed)) return;
           if (!blk.is_lowrank()) continue;  // solved in the image
-          if (blk.rank() == 0) {
-            blk.advance(lr::TileState::Factored);
-            continue;
-          }
-          if (!batched) {
+          if (blk.rank() > 0)
             dispatch::panel_solve(cd.diag, cd.ipiv, blk, llt_, upper);
-            blk.advance(lr::TileState::Factored);
-            continue;
-          }
-          lr::Tile* t = &blk;
-          KernelCtx& kc = trsm_batch.enqueue(
-              KernelOp::Trsm, rep_of(blk), prec_of(blk), Rep::None, Prec::Fp64,
-              [t](KernelCtx&) { t->advance(lr::TileState::Factored); });
-          kc.c = t;
-          kc.diag = &cd.diag.dense();
-          kc.piv = &cd.ipiv;
-          kc.llt = llt_;
-          kc.upper = upper;
+          blk.advance(lr::TileState::Factored);
         }
       };
       solve_panel(cd.lpanel, /*upper=*/false);
       if (!llt_) solve_panel(cd.upanel, /*upper=*/true);
-      trsm_batch.execute();
       if (failed_.load(std::memory_order_relaxed)) return;
     }
     // Guard the factored panel: overflow/NaN escaping the diagonal
@@ -1294,13 +1160,12 @@ void NumericFactor::apply_group(index_t k, index_t f, GroupPair* pairs,
     GroupPair& p = pairs[q];
     if (p.zero) continue;
     if (p.lowrank) {
-      if (!p.formed) {
-        if (lock.owns_lock()) lock.unlock();
-        p.prod = dispatch::product(*p.a, *p.b, opts_.kind, opts_.tolerance,
-                                   update_need_ortho(p.loc));
-      }
-      if (!lock.owns_lock()) lock.lock();
-      finish_update_locked(p.loc, std::move(p.prod));
+      if (lock.owns_lock()) lock.unlock();
+      lr::Tile prod = dispatch::product(*p.a, *p.b, opts_.kind,
+                                        opts_.tolerance,
+                                        update_need_ortho(p.loc));
+      lock.lock();
+      finish_update_locked(p.loc, std::move(prod));
       continue;
     }
     if (!lock.owns_lock()) lock.lock();

@@ -46,8 +46,7 @@ struct CblkData {
 /// Where one right-looking block update (k, bi, bj) lands: the target
 /// supernode/blok, the offsets inside it, the contribution's dimensions, and
 /// the triangle bookkeeping. Pure symbolic geometry — computing it touches no
-/// numeric state, so the batched schedule can locate every update of a range
-/// up front, run the products as one batch, and apply them afterwards.
+/// numeric state.
 struct UpdateLoc {
   index_t tcblk = -1;   ///< target supernode
   index_t tb_idx = -1;  ///< target blok index (-1: diagonal block)
@@ -97,7 +96,7 @@ struct SolveEngine {
   ThreadPool pool;
   std::mutex mu;
   explicit SolveEngine(int threads)
-      : pool(threads, SchedulerKind::WorkStealing) {}
+      : pool(threads) {}
 };
 
 /// What one solve call actually did (optional out-param of
@@ -255,23 +254,12 @@ private:
   /// Apply the update groups (k, f) of supernode k for facing bloks
   /// f in [jb, je) (DESIGN.md §9), draining dependency counters and
   /// submitting (with their critical-path priority) the successors that
-  /// become ready. Routes to update_range_batched under
-  /// Batching::PerSupernode.
+  /// become ready.
   void update_range(index_t k, index_t jb, index_t je, PanelImage& img);
-  /// Batched variant of update_range (DESIGN.md §11): collect every group
-  /// of the range, enqueue the low-rank-operand contribution products into
-  /// one KernelBatch keyed by operand representation/precision, execute the
-  /// batch (parallel over shape-bucket chunks), then apply the groups and
-  /// drain dependency counters sequentially in group order. Dense pairs
-  /// fuse into targets whose representation can change under the lock, so
-  /// they skip the batch and run in the apply phase.
-  void update_range_batched(index_t k, index_t jb, index_t je,
-                            PanelImage& img);
   /// Diagonal factorization + policy elimination hook + panel solves of
   /// cblk k. The dense tiles are solved packed in `img`, which then holds
-  /// k's factored panel for the updates. Under Batching::PerSupernode the
-  /// compressions and the panel TRSMs each run as one batch across the
-  /// panel.
+  /// k's factored panel for the updates. With a pool attached, a panel's
+  /// compression attempts run as one parallel loop (DESIGN.md §11).
   void factor_panel(index_t k, PanelImage& img);
   void factorize_left_looking();
   /// Dataflow execution (options.dataflow == Dag): build the TaskGraph over
@@ -311,8 +299,6 @@ private:
                                   ///< from (U panel when loc.target_upper)
     bool zero = false;            ///< rank-0 operand: nothing to apply
     bool lowrank = false;         ///< low-rank operand: product + extend-add
-    bool formed = false;          ///< `prod` already formed (batched path)
-    lr::Tile prod;                ///< formed contribution (low-rank pairs)
   };
   /// Append the pairs of group (k, f) to `out` in group order — L side
   /// (i, f) then U side (f, i), each by ascending i — and return the
@@ -321,8 +307,7 @@ private:
   /// Apply one collected group under its target's lock: runs of dense
   /// pairs with dense targets become one gather–GEMM–scatter on the packed
   /// panel image; the other pairs apply one by one in group order.
-  /// Low-rank-operand pairs form their product outside the lock unless the
-  /// batched path already did.
+  /// Low-rank-operand pairs form their product outside the lock.
   void apply_group(index_t k, index_t f, GroupPair* pairs, std::size_t n,
                    PanelImage& img);
   /// One group done: drain the target's dependency counter and submit its

@@ -1,5 +1,5 @@
 // Breakdown-path tests: structured failure reports, deterministic fault
-// injection, cooperative cancellation of the parallel schedulers, and the
+// injection, cooperative cancellation of the parallel scheduler, and the
 // recovery ladder.
 
 #include <gtest/gtest.h>
@@ -61,13 +61,13 @@ CscMatrix zero_row_col(const CscMatrix& a, index_t j0) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault kinds x {sequential, parallel x both scheduler kinds}
+// Fault kinds x {sequential, 4-thread work-stealing} x {barrier, DAG}
 // ---------------------------------------------------------------------------
 
 struct Mode {
   int threads;
-  SchedulerKind scheduler;
   core::Dataflow dataflow;
+  Strategy strategy;  ///< the policy every fault fires under
 };
 
 class FaultModeTest : public ::testing::TestWithParam<Mode> {
@@ -75,8 +75,8 @@ protected:
   SolverOptions opts_for_mode() {
     SolverOptions opts = small_opts();
     opts.threads = GetParam().threads;
-    opts.scheduler = GetParam().scheduler;
     opts.dataflow = GetParam().dataflow;
+    opts.strategy = GetParam().strategy;
     return opts;
   }
 };
@@ -84,7 +84,6 @@ protected:
 TEST_P(FaultModeTest, TinyPivotReportsSupernodeAndPivot) {
   const CscMatrix a = sparse::laplacian_3d(8, 8, 8);
   SolverOptions opts = opts_for_mode();
-  opts.strategy = Strategy::JustInTime;
   opts.factorization = Factorization::Lu;  // deterministic ZeroPivot kind
   opts.fault.kind = FaultInjection::Kind::TinyPivot;
   opts.fault.supernode = 0;
@@ -110,6 +109,7 @@ TEST_P(FaultModeTest, TinyPivotReportsSupernodeAndPivot) {
 
   // A failed factorize must not leave stale factors behind.
   EXPECT_FALSE(solver.factorized());
+  EXPECT_EQ(solver.pool_pending(), 0u);
   std::vector<real_t> b(static_cast<std::size_t>(a.rows()), 1.0), x(b.size());
   EXPECT_THROW(solver.solve(b.data(), x.data()), Error);
 
@@ -127,7 +127,6 @@ TEST_P(FaultModeTest, TinyPivotReportsSupernodeAndPivot) {
 TEST_P(FaultModeTest, PoisonedBlockIsCaughtByAssemblyGuard) {
   const CscMatrix a = sparse::laplacian_3d(8, 8, 8);
   SolverOptions opts = opts_for_mode();
-  opts.strategy = Strategy::JustInTime;
   opts.fault.kind = FaultInjection::Kind::PoisonBlock;
   opts.fault.supernode = 2;
   Solver solver(opts);
@@ -140,6 +139,7 @@ TEST_P(FaultModeTest, PoisonedBlockIsCaughtByAssemblyGuard) {
     EXPECT_EQ(e.report().supernode, 2);
   }
   EXPECT_FALSE(solver.factorized());
+  EXPECT_EQ(solver.pool_pending(), 0u);
 
   solver.factorize(a);  // budget consumed -> clean
   EXPECT_TRUE(solver.factorized());
@@ -148,7 +148,6 @@ TEST_P(FaultModeTest, PoisonedBlockIsCaughtByAssemblyGuard) {
 TEST_P(FaultModeTest, CompressionFailureIsStructured) {
   const CscMatrix a = sparse::laplacian_3d(8, 8, 8);
   SolverOptions opts = opts_for_mode();
-  opts.strategy = Strategy::JustInTime;
   opts.fault.kind = FaultInjection::Kind::CompressionFail;
   opts.fault.index = 0;  // first compression site
   Solver solver(opts);
@@ -161,6 +160,7 @@ TEST_P(FaultModeTest, CompressionFailureIsStructured) {
     EXPECT_GE(e.report().supernode, 0);
   }
   EXPECT_FALSE(solver.factorized());
+  EXPECT_EQ(solver.pool_pending(), 0u);
 
   solver.factorize(a);
   EXPECT_TRUE(solver.factorized());
@@ -168,18 +168,13 @@ TEST_P(FaultModeTest, CompressionFailureIsStructured) {
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, FaultModeTest,
-    ::testing::Values(
-        Mode{1, SchedulerKind::WorkStealing, core::Dataflow::Barrier},
-        Mode{4, SchedulerKind::WorkStealing, core::Dataflow::Barrier},
-        Mode{4, SchedulerKind::SharedQueue, core::Dataflow::Barrier},
-        Mode{1, SchedulerKind::WorkStealing, core::Dataflow::Dag},
-        Mode{4, SchedulerKind::WorkStealing, core::Dataflow::Dag},
-        Mode{4, SchedulerKind::SharedQueue, core::Dataflow::Dag}),
+    ::testing::Values(Mode{1, core::Dataflow::Barrier, Strategy::JustInTime},
+                      Mode{4, core::Dataflow::Barrier, Strategy::JustInTime},
+                      Mode{1, core::Dataflow::Dag, Strategy::JustInTime},
+                      Mode{4, core::Dataflow::Dag, Strategy::JustInTime}),
     [](const ::testing::TestParamInfo<Mode>& info) {
-      std::string s = info.param.threads == 1 ? "Sequential"
-                      : info.param.scheduler == SchedulerKind::WorkStealing
-                          ? "ParallelWorkStealing"
-                          : "ParallelSharedQueue";
+      std::string s =
+          info.param.threads == 1 ? "Sequential" : "ParallelWorkStealing";
       if (info.param.dataflow == core::Dataflow::Dag) s += "Dag";
       return s;
     });
@@ -296,15 +291,12 @@ TEST(DagBreakdown, RecoveryLadderMatchesBarrier) {
 // Cooperative cancellation
 // ---------------------------------------------------------------------------
 
-class CancellationTest : public ::testing::TestWithParam<SchedulerKind> {};
-
 /// The supernode the scheduler starts first. Initially-ready leaves are
-/// submitted in ascending index order; the work-stealing heap pops the
-/// highest critical-path priority (FIFO tie-break) while the shared queue
-/// is plain FIFO — so the first task is the priority argmax (a leaf: chain
-/// costs strictly decrease toward the root) resp. supernode 0.
+/// submitted in ascending index order and the injection heap pops the
+/// highest critical-path priority (FIFO tie-break), so the first task is
+/// the priority argmax (a leaf: chain costs strictly decrease toward the
+/// root).
 index_t first_scheduled_supernode(const CscMatrix& a, SolverOptions opts) {
-  if (opts.scheduler == SchedulerKind::SharedQueue) return 0;
   opts.threads = 1;
   Solver probe(opts);
   probe.analyze(a);
@@ -313,7 +305,7 @@ index_t first_scheduled_supernode(const CscMatrix& a, SolverOptions opts) {
                               prio.begin());
 }
 
-TEST_P(CancellationTest, BreakdownCancelsOutstandingWork) {
+TEST(CancellationTest, BreakdownCancelsOutstandingWork) {
   // Plenty of supernodes, one elimination task each (panel splitting off),
   // with the fault at the first leaf the scheduler picks: the breakdown
   // fires immediately and the cancelled pool must drain the queued
@@ -323,13 +315,13 @@ TEST_P(CancellationTest, BreakdownCancelsOutstandingWork) {
   opts.strategy = Strategy::JustInTime;
   opts.factorization = Factorization::Lu;
   opts.threads = 4;
-  opts.scheduler = GetParam();
   opts.panel_split_rows = 0;  // task count == elimination count
   opts.fault.kind = FaultInjection::Kind::TinyPivot;
   opts.fault.supernode = first_scheduled_supernode(a, opts);
   Solver solver(opts);
 
   EXPECT_THROW(solver.factorize(a), NumericalError);
+  EXPECT_EQ(solver.pool_pending(), 0u);
 
   const SolverStats& st = solver.stats();
   ASSERT_GT(st.num_cblks, 40) << "test matrix too small to be meaningful";
@@ -356,15 +348,6 @@ TEST_P(CancellationTest, BreakdownCancelsOutstandingWork) {
   EXPECT_LT(sparse::backward_error(a, x.data(), b.data()), 1e-5);
   EXPECT_EQ(solver.stats().scheduler_discarded, 0u);
 }
-
-INSTANTIATE_TEST_SUITE_P(BothKinds, CancellationTest,
-                         ::testing::Values(SchedulerKind::WorkStealing,
-                                           SchedulerKind::SharedQueue),
-                         [](const ::testing::TestParamInfo<SchedulerKind>& info) {
-                           return info.param == SchedulerKind::WorkStealing
-                                      ? std::string("WorkStealing")
-                                      : std::string("SharedQueue");
-                         });
 
 // ---------------------------------------------------------------------------
 // Inherent (non-injected) breakdowns

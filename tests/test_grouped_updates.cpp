@@ -7,8 +7,7 @@
 //     against counts derived here straight from the SymbolicFactor;
 //   - memcmp against the sequential DAG for Dense / JIT / MinMem /
 //     Adaptive × LLᵗ / LU × LUAR on/off, with low-rank holes in the panels
-//     and low-rank targets, for the barrier, its batched variant and the
-//     left-looking schedule;
+//     and low-rank targets, for the barrier and the left-looking schedule;
 //   - panel-split segments of one source racing on the target locks.
 
 #include <gtest/gtest.h>
@@ -140,35 +139,30 @@ TEST_P(GroupedCounts, DenseCallsAndFlopsMatchTheSymbolicGroups) {
   const Factorization fk = GetParam();
   const bool llt = fk == Factorization::Llt;
   const CscMatrix a = matrix_for(fk);
-  for (const core::Batching batching :
-       {core::Batching::Off, core::Batching::PerSupernode}) {
-    SolverOptions o = grid_opts(Strategy::Dense, fk);
-    o.batching = batching;
-    Solver s(o);
-    s.factorize(a);
-    const Expected e = expected_dense(s.symbolic(), llt);
-    const std::string diag = llt ? "potrf[ge]" : "getrf[ge]";
-    EXPECT_EQ(calls(s, "gemm[ge,ge]"), e.gemm_calls);
-    EXPECT_EQ(flops(s, "gemm[ge,ge]"), e.gemm_flops);
-    EXPECT_EQ(calls(s, "trsm[ge]"), e.trsm_calls);
-    EXPECT_EQ(flops(s, "trsm[ge]"), e.trsm_flops);
-    EXPECT_EQ(calls(s, diag), e.diag_calls);
-    EXPECT_EQ(flops(s, diag), e.diag_flops);
-    // Far fewer calls than block pairs: the grouping is real.
-    std::uint64_t pairs = 0;
-    for (const symbolic::Cblk& c : s.symbolic().cblks()) {
-      const std::uint64_t nb = c.bloks.size();
-      pairs += llt ? nb * (nb + 1) / 2 : nb * nb;
-    }
-    EXPECT_LT(e.gemm_calls * 2, pairs);
-    // The summary reports the achieved rate of the rows carrying flops.
-    std::ostringstream os;
-    s.print_summary(os);
-    const std::string text = os.str();
-    const std::size_t at = text.find("gemm[ge,ge]");
-    ASSERT_NE(at, std::string::npos);
-    EXPECT_NE(text.find("GF/s", at), std::string::npos);
+  Solver s(grid_opts(Strategy::Dense, fk));
+  s.factorize(a);
+  const Expected e = expected_dense(s.symbolic(), llt);
+  const std::string diag = llt ? "potrf[ge]" : "getrf[ge]";
+  EXPECT_EQ(calls(s, "gemm[ge,ge]"), e.gemm_calls);
+  EXPECT_EQ(flops(s, "gemm[ge,ge]"), e.gemm_flops);
+  EXPECT_EQ(calls(s, "trsm[ge]"), e.trsm_calls);
+  EXPECT_EQ(flops(s, "trsm[ge]"), e.trsm_flops);
+  EXPECT_EQ(calls(s, diag), e.diag_calls);
+  EXPECT_EQ(flops(s, diag), e.diag_flops);
+  // Far fewer calls than block pairs: the grouping is real.
+  std::uint64_t pairs = 0;
+  for (const symbolic::Cblk& c : s.symbolic().cblks()) {
+    const std::uint64_t nb = c.bloks.size();
+    pairs += llt ? nb * (nb + 1) / 2 : nb * nb;
   }
+  EXPECT_LT(e.gemm_calls * 2, pairs);
+  // The summary reports the achieved rate of the rows carrying flops.
+  std::ostringstream os;
+  s.print_summary(os);
+  const std::string text = os.str();
+  const std::size_t at = text.find("gemm[ge,ge]");
+  ASSERT_NE(at, std::string::npos);
+  EXPECT_NE(text.find("GF/s", at), std::string::npos);
 }
 
 TEST_P(GroupedCounts, CompressedRunsStayWithinTheGroupBound) {
@@ -213,18 +207,13 @@ TEST_P(GroupedVsDag, EveryDriverIsBitIdenticalToTheSequentialDag) {
 
   struct Driver {
     const char* name;
-    core::Batching batching;
     core::Scheduling scheduling;
   };
   for (const Driver d :
-       {Driver{"barrier", core::Batching::Off, core::Scheduling::RightLooking},
-        Driver{"batched", core::Batching::PerSupernode,
-               core::Scheduling::RightLooking},
-        Driver{"left-looking", core::Batching::Off,
-               core::Scheduling::LeftLooking}}) {
+       {Driver{"barrier", core::Scheduling::RightLooking},
+        Driver{"left-looking", core::Scheduling::LeftLooking}}) {
     SolverOptions o = od;
     o.dataflow = core::Dataflow::Barrier;
-    o.batching = d.batching;
     o.scheduling = d.scheduling;
     Solver s(o);
     s.factorize(a);
@@ -282,7 +271,6 @@ TEST_P(GroupedSplitRace, SplitSegmentsShareTargetLocksSafely) {
     seq.factorize(a);
 
     o.threads = threads;
-    o.scheduler = SchedulerKind::WorkStealing;
     o.panel_split_rows = 32;
     Solver par(o);
     par.factorize(a);

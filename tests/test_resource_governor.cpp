@@ -143,13 +143,13 @@ TEST(TrackerBudget, ReportCarriesStructuredBreach) {
 
 // ---------------------------------------------------------------------------
 // Budget grid: tight-but-feasible and infeasible budgets across execution
-// modes (sequential / parallel x Barrier / Dag x both schedulers)
+// modes (sequential / 4-thread work-stealing x Barrier / Dag)
 // ---------------------------------------------------------------------------
 
 struct GovMode {
   int threads;
-  SchedulerKind scheduler;
   core::Dataflow dataflow;
+  Strategy strategy;
 };
 
 class BudgetModeTest : public ::testing::TestWithParam<GovMode> {
@@ -157,8 +157,8 @@ protected:
   SolverOptions opts_for_mode() {
     SolverOptions opts = small_opts();
     opts.threads = GetParam().threads;
-    opts.scheduler = GetParam().scheduler;
     opts.dataflow = GetParam().dataflow;
+    opts.strategy = GetParam().strategy;
     return opts;
   }
 };
@@ -213,15 +213,13 @@ TEST_P(BudgetModeTest, InfeasibleBudgetFailsSoftlyAndSurvives) {
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, BudgetModeTest,
-    ::testing::Values(GovMode{1, SchedulerKind::SharedQueue, core::Dataflow::Barrier},
-                      GovMode{1, SchedulerKind::SharedQueue, core::Dataflow::Dag},
-                      GovMode{4, SchedulerKind::WorkStealing, core::Dataflow::Barrier},
-                      GovMode{4, SchedulerKind::WorkStealing, core::Dataflow::Dag},
-                      GovMode{4, SchedulerKind::SharedQueue, core::Dataflow::Barrier}),
+    ::testing::Values(GovMode{1, core::Dataflow::Barrier, Strategy::JustInTime},
+                      GovMode{1, core::Dataflow::Dag, Strategy::JustInTime},
+                      GovMode{4, core::Dataflow::Barrier, Strategy::JustInTime},
+                      GovMode{4, core::Dataflow::Dag, Strategy::JustInTime}),
     [](const auto& info) {
       std::ostringstream os;
-      os << (info.param.threads > 1 ? "Par" : "Seq")
-         << (info.param.scheduler == SchedulerKind::WorkStealing ? "WS" : "SQ")
+      os << (info.param.threads > 1 ? "ParWS" : "Seq")
          << (info.param.dataflow == core::Dataflow::Dag ? "Dag" : "Barrier");
       return os.str();
     });
@@ -602,11 +600,10 @@ TEST(AttemptCounters, DagCountersArePerAttemptNotCumulative) {
   EXPECT_GT(attempts[1].peak_bytes, 0u);
 }
 
-TEST(AttemptCounters, BatchAndSchedulerCountersArePerAttempt) {
+TEST(AttemptCounters, SchedulerCountersArePerAttempt) {
   const CscMatrix a = sparse::laplacian_3d(8, 8, 8);
   SolverOptions opts = small_opts();
   opts.threads = 4;
-  opts.batching = core::Batching::PerSupernode;
   opts.strategy = Strategy::JustInTime;
   opts.fault.kind = FaultInjection::Kind::TinyPivot;
   opts.fault.supernode = 5;
@@ -618,11 +615,11 @@ TEST(AttemptCounters, BatchAndSchedulerCountersArePerAttempt) {
   const auto& attempts = solver.stats().attempts;
   ASSERT_EQ(attempts.size(), 2u);
   EXPECT_GT(attempts[1].scheduler_tasks, 0u);
-  EXPECT_GT(attempts[1].batches, 0u);
   // The clean retry matches the final whole-run snapshot — per-attempt, not
   // accumulated across the failed first try.
-  EXPECT_EQ(attempts[1].batches, solver.stats().batch.batches);
-  EXPECT_EQ(attempts[1].batch_entries, solver.stats().batch.entries);
+  EXPECT_EQ(attempts[1].scheduler_tasks, solver.stats().scheduler_tasks);
+  EXPECT_EQ(attempts[1].scheduler_discarded, 0u);
+  EXPECT_EQ(solver.pool_pending(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -263,32 +263,6 @@ INSTANTIATE_TEST_SUITE_P(
                     TilePrecision::MixedTiles, 1, 2}),
     config_name);
 
-// PerSupernode batching (a factorization mode; the solve never batches)
-// leaves every solve bit unchanged relative to eager dispatch.
-TEST(SolveBatching, PerSupernodeMatchesEagerBitwise) {
-  const CscMatrix a = sparse::laplacian_3d(10, 10, 10);
-  const index_t n = a.rows();
-  SolverOptions eager = base_options(Strategy::MinimalMemory,
-                                     Dataflow::Barrier,
-                                     TilePrecision::Fp64, 1);
-  eager.solve_parallel = false;
-  eager.batching = Batching::Off;
-  SolverOptions batched = eager;
-  batched.batching = Batching::PerSupernode;
-
-  Solver se(eager), sb(batched);
-  se.factorize(a);
-  sb.factorize(a);
-  const index_t nrhs = 4;
-  const auto b = seeded_block(n, nrhs, 77);
-  std::vector<real_t> xe(b.size()), xb(b.size());
-  se.solve(la::DConstView(b.data(), n, nrhs, n),
-           la::DView(xe.data(), n, nrhs, n));
-  sb.solve(la::DConstView(b.data(), n, nrhs, n),
-           la::DView(xb.data(), n, nrhs, n));
-  EXPECT_EQ(0, std::memcmp(xe.data(), xb.data(), xe.size() * sizeof(real_t)));
-}
-
 // ---- (c) solve plan: built once, replayed by every refactorize ------------
 
 TEST(SolvePlanCache, BuiltOnceReusedAcrossRefactorize) {

@@ -1,13 +1,14 @@
-// Concurrency harness for the work-stealing scheduler (and the legacy
-// shared-queue pool behind the same interface): randomized-DAG stress,
-// priority ordering, wait_idle() completeness, nested submission and
-// nested parallel_for. Designed to run under BLR_SANITIZE=thread.
+// Concurrency harness for the work-stealing pool: randomized-DAG stress,
+// priority ordering, wait_idle() completeness, nested submission, nested
+// parallel_for and parallel_for's exception contract. Designed to run under
+// BLR_SANITIZE=thread.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
+#include <stdexcept>
 #include <vector>
 
 #include "common/prng.hpp"
@@ -16,9 +17,6 @@
 namespace {
 
 using namespace blr;
-
-constexpr SchedulerKind kKinds[] = {SchedulerKind::WorkStealing,
-                                    SchedulerKind::SharedQueue};
 
 /// A randomized task DAG: node i depends on a few predecessors with smaller
 /// index, tasks decrement successor counters and submit the ones that drain
@@ -39,10 +37,7 @@ struct RandomDag {
   std::vector<std::atomic<int>> deps;
 };
 
-class SchedulerSweep : public ::testing::TestWithParam<SchedulerKind> {};
-
-TEST_P(SchedulerSweep, RandomizedDagRunsEveryTaskExactlyOnce) {
-  const SchedulerKind kind = GetParam();
+TEST(SchedulerSweep, RandomizedDagRunsEveryTaskExactlyOnce) {
   for (const int threads : {1, 2, 4, 8, 16}) {
     for (const std::uint64_t seed : {7ull, 1234ull, 987654321ull}) {
       const index_t n = 400;
@@ -50,7 +45,7 @@ TEST_P(SchedulerSweep, RandomizedDagRunsEveryTaskExactlyOnce) {
       std::vector<std::atomic<int>> runs(static_cast<std::size_t>(n));
       std::atomic<index_t> total{0};
 
-      ThreadPool pool(threads, kind);
+      ThreadPool pool(threads);
       ASSERT_EQ(pool.size(), threads);
       // One std::function per node, self-submitting its drained successors.
       std::function<void(index_t)> run_node = [&](index_t i) {
@@ -90,9 +85,8 @@ TEST_P(SchedulerSweep, RandomizedDagRunsEveryTaskExactlyOnce) {
   }
 }
 
-TEST_P(SchedulerSweep, TasksSubmittedFromRunningTasksComplete) {
-  const SchedulerKind kind = GetParam();
-  ThreadPool pool(3, kind);
+TEST(SchedulerSweep, TasksSubmittedFromRunningTasksComplete) {
+  ThreadPool pool(3);
   std::atomic<int> done{0};
   constexpr int kDepth = 64;
   std::function<void(int)> chain = [&](int d) {
@@ -104,11 +98,10 @@ TEST_P(SchedulerSweep, TasksSubmittedFromRunningTasksComplete) {
   EXPECT_EQ(done.load(), kDepth);
 }
 
-TEST_P(SchedulerSweep, WaitIdleNeverReturnsEarly) {
-  const SchedulerKind kind = GetParam();
+TEST(SchedulerSweep, WaitIdleNeverReturnsEarly) {
   Prng rng(42);
   for (int round = 0; round < 20; ++round) {
-    ThreadPool pool(4, kind);
+    ThreadPool pool(4);
     std::atomic<int> live{0};
     std::atomic<bool> observed_live_after_wait{false};
     const int ntasks = 16 + static_cast<int>(rng.below(48));
@@ -125,9 +118,8 @@ TEST_P(SchedulerSweep, WaitIdleNeverReturnsEarly) {
   }
 }
 
-TEST_P(SchedulerSweep, ParallelForCoversRange) {
-  const SchedulerKind kind = GetParam();
-  ThreadPool pool(4, kind);
+TEST(SchedulerSweep, ParallelForCoversRange) {
+  ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
   pool.parallel_for(1000, [&](index_t i) {
     hits[static_cast<std::size_t>(i)].fetch_add(1, std::memory_order_relaxed);
@@ -135,9 +127,8 @@ TEST_P(SchedulerSweep, ParallelForCoversRange) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST_P(SchedulerSweep, NestedParallelForInsideTaskCompletes) {
-  const SchedulerKind kind = GetParam();
-  ThreadPool pool(2, kind);
+TEST(SchedulerSweep, NestedParallelForInsideTaskCompletes) {
+  ThreadPool pool(2);
   std::vector<std::atomic<int>> hits(256);
   std::atomic<bool> inner_done{false};
   pool.submit([&] {
@@ -153,12 +144,61 @@ TEST_P(SchedulerSweep, NestedParallelForInsideTaskCompletes) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-INSTANTIATE_TEST_SUITE_P(BothKinds, SchedulerSweep, ::testing::ValuesIn(kKinds),
-                         [](const auto& info) {
-                           return info.param == SchedulerKind::WorkStealing
-                                      ? "WorkStealing"
-                                      : "SharedQueue";
-                         });
+// parallel_for's exception contract: a body that throws at one index —
+// on the caller or on a helper worker — is rethrown exactly once on the
+// caller after every claimed chunk finished, the indices not yet started
+// are skipped, no task leaks, and the pool stays usable.
+TEST(ParallelForExceptions, ThrowAtOneIndexRethrowsOnceAndPoolStaysUsable) {
+  ThreadPool pool(4);
+  constexpr index_t kN = 1000;
+  for (const index_t bad : {index_t{0}, index_t{1}, kN / 2, kN - 1}) {
+    for (int round = 0; round < 20; ++round) {
+      std::vector<std::atomic<int>> hits(static_cast<std::size_t>(kN));
+      int rethrows = 0;
+      try {
+        pool.parallel_for(kN, [&](index_t i) {
+          hits[static_cast<std::size_t>(i)].fetch_add(1, std::memory_order_relaxed);
+          if (i == bad) throw std::runtime_error("injected");
+        });
+      } catch (const std::runtime_error& e) {
+        ++rethrows;
+        EXPECT_STREQ(e.what(), "injected");
+      }
+      EXPECT_EQ(rethrows, 1) << "bad=" << bad << " round=" << round;
+      EXPECT_EQ(hits[static_cast<std::size_t>(bad)].load(), 1);
+      for (const auto& h : hits) EXPECT_LE(h.load(), 1);
+      pool.wait_idle();
+      EXPECT_EQ(pool.pending(), 0);
+    }
+  }
+  // Reusable: a clean loop afterwards covers its whole range.
+  std::vector<std::atomic<int>> hits(static_cast<std::size_t>(kN));
+  pool.parallel_for(kN, [&](index_t i) {
+    hits[static_cast<std::size_t>(i)].fetch_add(1, std::memory_order_relaxed);
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  pool.wait_idle();
+  EXPECT_EQ(pool.pending(), 0);
+}
+
+TEST(ParallelForExceptions, ThrowInsideNestedLoopReachesTheEnclosingTask) {
+  ThreadPool pool(4);
+  std::atomic<int> caught{0};
+  for (int t = 0; t < 8; ++t) {
+    pool.submit([&pool, &caught, t] {
+      try {
+        pool.parallel_for(64, [t](index_t i) {
+          if (i == 7 * t) throw std::runtime_error("nested");
+        });
+      } catch (const std::runtime_error&) {
+        caught.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  pool.wait_idle();
+  EXPECT_EQ(caught.load(), 8);
+  EXPECT_EQ(pool.pending(), 0);
+}
 
 // Priority semantics of the work-stealing scheduler: with a single gated
 // worker, queued injected tasks must run in priority order, and a chain
@@ -166,7 +206,7 @@ INSTANTIATE_TEST_SUITE_P(BothKinds, SchedulerSweep, ::testing::ValuesIn(kKinds),
 // low-priority leaves — the chain-vs-leaves shape of the elimination tree's
 // critical path.
 TEST(WorkStealingPriority, ChainRunsBeforeLeavesOnSingleWorker) {
-  ThreadPool pool(1, SchedulerKind::WorkStealing);
+  ThreadPool pool(1);
 
   std::mutex m;
   std::condition_variable cv;
@@ -214,7 +254,7 @@ TEST(WorkStealingPriority, ChainRunsBeforeLeavesOnSingleWorker) {
 }
 
 TEST(WorkStealingPriority, EqualPrioritiesKeepSubmissionOrder) {
-  ThreadPool pool(1, SchedulerKind::WorkStealing);
+  ThreadPool pool(1);
   std::mutex m;
   std::condition_variable cv;
   bool released = false;
@@ -237,7 +277,7 @@ TEST(WorkStealingPriority, EqualPrioritiesKeepSubmissionOrder) {
 }
 
 TEST(WorkStealingStats, StealsHappenAndResetWorks) {
-  ThreadPool pool(4, SchedulerKind::WorkStealing);
+  ThreadPool pool(4);
   std::atomic<int> done{0};
   // Submit a burst from outside, then fan out from inside so local deques
   // fill and idle workers must steal.
