@@ -8,7 +8,8 @@
 // Second section (beyond the paper's figure): thread scaling on the largest
 // generator problem of the sweep — factorization wall time of the
 // work-stealing pool per thread count against 1 thread, with the
-// steal/idle counters the pool collects.
+// steal/idle counters the pool collects. Third section: the scheduling
+// A/B, right-looking barrier vs left-looking fan-in, in time and peak.
 
 #include <algorithm>
 #include <cmath>
@@ -52,19 +53,26 @@ void thread_scaling(const sparse::CscMatrix& a, index_t n) {
   }
 }
 
-// Dataflow A/B: barrier vs task-DAG factorization wall time per thread
-// count (same strategy), with the DAG shape counters. The DAG's
-// tile-granular dependencies overlap panels the barrier serializes, which
-// is where the speedup at higher thread counts comes from.
-void dataflow_ab(const sparse::CscMatrix& a, index_t n, std::FILE* json,
-                 bool* json_first) {
-  print_header("Figure 7c — dataflow A/B (JIT/RRQR): barrier vs task DAG");
-  std::printf("problem: lap %lld^3, %lld dofs\n\n", static_cast<long long>(n),
-              static_cast<long long>(a.rows()));
-  std::printf("%8s | %12s | %12s | %8s | %30s\n", "threads", "barrier s",
-              "dag s", "speedup", "tasks/edges/critpath/peak");
+// Scheduling A/B: the right-looking barrier (the default, fastest) vs the
+// left-looking fan-in (lower peak, bit-identical at every thread count) —
+// the speed-versus-memory/determinism choice SolverOptions::scheduling
+// offers. Each thread count times the two alternately (the side that runs
+// first flips every round), best of 3, and
+// reports the largest tracked peak of the three runs against the final
+// factor size.
+void scheduling_ab(const sparse::CscMatrix& a, index_t n, real_t tol,
+                   std::FILE* json, bool* json_first) {
+  print_header("Figure 7c — scheduling A/B (JIT/RRQR): barrier vs left-looking");
+  std::printf("problem: lap %lld^3, %lld dofs, tau = %.0e, best of 3\n\n",
+              static_cast<long long>(n), static_cast<long long>(a.rows()),
+              static_cast<double>(tol));
+  std::printf("%8s | %10s %10s | %10s %10s | %8s | %13s\n", "threads",
+              "barrier s", "peak MiB", "left s", "peak MiB", "time",
+              "left peak");
+  std::printf("%8s | %21s | %21s | %8s | %13s\n", "", "", "", "left/bar",
+              "/ factors");
 
-  std::vector<int> counts = {1, 2, 4, 8};
+  std::vector<int> counts = {1, 2, 4};
   const int hw = env_threads();
   if (std::find(counts.begin(), counts.end(), hw) == counts.end() && hw > 1) {
     counts.push_back(hw);
@@ -73,24 +81,30 @@ void dataflow_ab(const sparse::CscMatrix& a, index_t n, std::FILE* json,
 
   for (const int threads : counts) {
     SolverOptions o = paper_options(Strategy::JustInTime,
-                                    lr::CompressionKind::Rrqr, 1e-8);
+                                    lr::CompressionKind::Rrqr, tol);
     o.threads = threads;
+    RunResult best[2];
+    std::size_t peak[2] = {0, 0};
+    for (int rep = 0; rep < 3; ++rep) {
+      for (int k = 0; k < 2; ++k) {
+        const int left = (rep + k) % 2;  // alternate which side runs first
+        o.scheduling = left == 1 ? core::Scheduling::LeftLooking
+                                 : core::Scheduling::RightLooking;
+        const RunResult r = run_solver(a, o);
+        if (rep == 0 || r.factorization_time < best[left].factorization_time)
+          best[left] = r;
+        peak[left] = std::max(peak[left], r.total_peak_bytes);
+      }
+    }
+    best[0].total_peak_bytes = peak[0];
+    best[1].total_peak_bytes = peak[1];
 
-    o.dataflow = core::Dataflow::Barrier;
-    const RunResult barrier = run_solver(a, o);
-
-    o.dataflow = core::Dataflow::Dag;
-    Solver keep(o);
-    const RunResult dag = run_solver(a, o, &keep);
-    const auto& st = keep.stats();
-
-    std::printf("%8d | %12.3f | %12.3f | %7.2fx | %12llu/%llu/%llu/%llu\n",
-                threads, barrier.factorization_time, dag.factorization_time,
-                barrier.factorization_time / dag.factorization_time,
-                static_cast<unsigned long long>(st.dag_tasks),
-                static_cast<unsigned long long>(st.dag_edges),
-                static_cast<unsigned long long>(st.dag_critical_path),
-                static_cast<unsigned long long>(st.dag_ready_peak));
+    std::printf("%8d | %10.3f %10.1f | %10.3f %10.1f | %7.2fx | %12.2fx\n",
+                threads, best[0].factorization_time, mib(peak[0]),
+                best[1].factorization_time, mib(peak[1]),
+                best[1].factorization_time / best[0].factorization_time,
+                static_cast<double>(peak[1]) /
+                    static_cast<double>(best[1].factor_bytes));
     std::fflush(stdout);
 
     if (json) {
@@ -98,10 +112,10 @@ void dataflow_ab(const sparse::CscMatrix& a, index_t n, std::FILE* json,
       std::snprintf(label, sizeof label, "barrier_t%d", threads);
       if (!*json_first) std::fprintf(json, ",\n");
       *json_first = false;
-      json_run(json, label, a.rows(), barrier);
-      std::snprintf(label, sizeof label, "dag_t%d", threads);
+      json_run(json, label, a.rows(), best[0]);
+      std::snprintf(label, sizeof label, "left_looking_t%d", threads);
       std::fprintf(json, ",\n");
-      json_run(json, label, a.rows(), dag);
+      json_run(json, label, a.rows(), best[1]);
     }
   }
 }
@@ -159,10 +173,17 @@ int main() {
   const auto a_last = sparse::laplacian_3d(nlast, nlast, nlast);
   thread_scaling(a_last, nlast);
 
-  // The dataflow A/B rides in the same JSON file, as its own array.
-  if (json) std::fprintf(json, "\n  ],\n  \"dataflow_ab\": [\n");
+  // The scheduling A/B rides in the same JSON file, as its own array. Its
+  // problem defaults to the sweep's largest; BLR_BENCH_AB_N and
+  // BLR_BENCH_AB_TOL (default 1e-8) pick another size and tolerance.
+  if (json) std::fprintf(json, "\n  ],\n  \"scheduling_ab\": [\n");
   bool ab_first = true;
-  dataflow_ab(a_last, nlast, json, &ab_first);
+  const index_t nab = env_index("BLR_BENCH_AB_N", nlast);
+  const char* tol_env = std::getenv("BLR_BENCH_AB_TOL");
+  const real_t tol_ab =
+      tol_env ? static_cast<real_t>(std::atof(tol_env)) : real_t(1e-8);
+  scheduling_ab(nab == nlast ? a_last : sparse::laplacian_3d(nab, nab, nab),
+                nab, tol_ab, json, &ab_first);
 
   if (json) {
     std::fprintf(json, "\n  ]\n}\n");

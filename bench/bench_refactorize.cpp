@@ -176,7 +176,6 @@ int run(bool quick) {
   for (const int threads : kThreads) {
     SolverOptions opts = base;
     opts.strategy = Strategy::JustInTime;
-    opts.solve_parallel = threads > 1;
     opts.solve_threads = threads;
     solvers.push_back(std::make_unique<core::Solver>(opts));
     solvers.back()->factorize(a0);

@@ -65,7 +65,7 @@ public:
   }
 
   /// Tasks currently queued or running. 0 after wait_idle() returns — the
-  /// no-task-leak invariant the DAG cancellation tests assert.
+  /// no-task-leak invariant the cancellation tests assert.
   [[nodiscard]] index_t pending() const {
     return pending_.load(std::memory_order_acquire);
   }

@@ -49,6 +49,32 @@ index_t find_blok_row(const symbolic::Cblk& c, index_t row) {
   throw Error("assembly: row outside symbolic structure");
 }
 
+/// Row-blok bounds of the update group (k, f) of source cblk `c`
+/// (DESIGN.md §9): every block pair of k whose target lies in cblk
+/// fcblk(f). The L side is the pairs (i, f) for i in [l_begin, nb) — every
+/// row blok facing fcblk(f) or a later cblk (LLᵗ: i ≥ f). The U side (LU
+/// only; u_begin == nb for LLᵗ) is the transposed pairs (f, i) for i in
+/// [u_begin, nb), every row blok facing a strictly later cblk. Over all f
+/// the groups partition the pairs of k, and their order — f ascending, L
+/// side then U side, i ascending — is the canonical update order.
+struct GroupBounds {
+  index_t l_begin = 0;
+  index_t u_begin = 0;
+};
+
+GroupBounds update_group_bounds(const symbolic::Cblk& c, index_t f, bool llt) {
+  const index_t nb = static_cast<index_t>(c.bloks.size());
+  if (llt) return {f, nb};
+  const auto fc = [&c](index_t i) {
+    return c.bloks[static_cast<std::size_t>(i)].fcblk;
+  };
+  // Bloks ascend by row, so the bloks facing one cblk are contiguous.
+  GroupBounds g{f, f + 1};
+  while (g.l_begin > 0 && fc(g.l_begin - 1) == fc(f)) --g.l_begin;
+  while (g.u_begin < nb && fc(g.u_begin) == fc(f)) ++g.u_begin;
+  return g;
+}
+
 } // namespace
 
 NumericFactor::NumericFactor(const sparse::CscMatrix& a,
@@ -88,14 +114,10 @@ NumericFactor::NumericFactor(const sparse::CscMatrix& a,
   pctx_.mixed_rank_threshold = opts_.mixed_rank_threshold;
   pctx_.compression_site = [this](index_t k) { maybe_fail_compression(k); };
   // Warm-start wiring (re-factorization only; reuse_ is empty on cold runs).
-  // A prebuilt DAG skeleton for the other factorization flavor is dropped
-  // here rather than trusted — the recovery ladder can flip LLᵗ → LU
-  // mid-call, and the address spaces differ.
   pctx_.warm = opts_.warm_start ? reuse_.ranks : nullptr;
   pctx_.warm_slack = opts_.warm_rank_slack;
   pctx_.warm_dense_skip = opts_.warm_dense_skip;
   pctx_.warm_counters = &warm_counters_;
-  if (reuse_.dag != nullptr && reuse_.dag->llt() != llt_) reuse_.dag = nullptr;
   if (!opts_.reuse_buffers) reuse_.buffers = nullptr;
   iperm_.resize(ord_.perm.size());
   for (std::size_t i = 0; i < ord_.perm.size(); ++i)
@@ -106,11 +128,10 @@ NumericFactor::NumericFactor(const sparse::CscMatrix& a,
       MemCategory::Workspace,
       (static_cast<std::size_t>(ap_.nnz()) + static_cast<std::size_t>(apt_.nnz())) *
           (sizeof(real_t) + sizeof(index_t)));
-  if (opts_.scheduling == Scheduling::RightLooking &&
-      opts_.dataflow == Dataflow::Barrier) {
-    // The dataflow schedule assembles lazily (one Assemble task per
-    // supernode inside the DAG), so it keeps the permuted input alive until
-    // factorize() finishes instead of assembling everything here.
+  if (opts_.scheduling == Scheduling::RightLooking) {
+    // The left-looking schedule assembles lazily (each supernode inside its
+    // own task), so it keeps the permuted input alive until factorize()
+    // finishes instead of assembling everything here.
     assemble_all();
     ap_ = sparse::CscMatrix();
     apt_ = sparse::CscMatrix();
@@ -390,6 +411,7 @@ void NumericFactor::assemble_all() {
 
 void NumericFactor::factorize(ThreadPool* pool) {
   const index_t ncblk = sf_.num_cblks();
+  const bool left = opts_.scheduling == Scheduling::LeftLooking;
   failed_.store(false);
   {
     std::lock_guard lock(error_mutex_);
@@ -401,20 +423,10 @@ void NumericFactor::factorize(ThreadPool* pool) {
   trace_.clear();
   trace_clock_.reset();
 
-  if (opts_.scheduling == Scheduling::LeftLooking) {
-    // The left-looking schedule is inherently sequential here: each
-    // supernode pulls all its updates when it is eliminated.
-    factorize_left_looking();
-    return;
-  }
-
-  if (opts_.dataflow == Dataflow::Dag) {
-    factorize_dag(pool);
-    return;
-  }
-
   // Dependency counters: one per incoming update group (k, f), i.e. one
-  // per blok facing the target — O(Σ nb), drained once per group.
+  // per blok facing the target — O(Σ nb). Right-looking drains one when
+  // the group has been applied, left-looking when its source k has been
+  // factored (release()).
   for (auto& d : deps_) d.store(0, std::memory_order_relaxed);
   for (index_t k = 0; k < ncblk; ++k) {
     for (const symbolic::Blok& b : sf_.cblk(k).bloks) {
@@ -422,316 +434,124 @@ void NumericFactor::factorize(ThreadPool* pool) {
           1, std::memory_order_relaxed);
     }
   }
-
+  if (left) {
+    // Each target's incoming groups, CSR by target, in canonical (k, f)
+    // order: the order every element of the target sees its updates in,
+    // whichever thread runs the pull.
+    in_off_.assign(static_cast<std::size_t>(ncblk) + 1, 0);
+    for (index_t t = 0; t < ncblk; ++t) {
+      in_off_[static_cast<std::size_t>(t) + 1] =
+          in_off_[static_cast<std::size_t>(t)] +
+          deps_[static_cast<std::size_t>(t)].load(std::memory_order_relaxed);
+    }
+    in_.resize(static_cast<std::size_t>(in_off_.back()));
+    std::vector<index_t> fill(in_off_.begin(), in_off_.end() - 1);
+    for (index_t k = 0; k < ncblk; ++k) {
+      const auto& bloks = sf_.cblk(k).bloks;
+      for (index_t f = 0; f < static_cast<index_t>(bloks.size()); ++f) {
+        const index_t t = bloks[static_cast<std::size_t>(f)].fcblk;
+        in_[static_cast<std::size_t>(fill[static_cast<std::size_t>(t)]++)] =
+            {k, f};
+      }
+    }
+  }
   if (pool == nullptr) {
-    // Sequential right-looking pass: elimination order guarantees every
-    // update lands before its target is processed.
+    // Sequential pass in ascending supernode order, a topological order of
+    // both drivers: every update lands before its target is factored.
     for (index_t k = 0; k < ncblk && !failed_.load(std::memory_order_relaxed);
          ++k) {
-      eliminate(k);
+      run_task(k);
     }
-    if (failed_.load()) throw_recorded();
-    return;
-  }
-
-  pool_ = pool;
-  // Snapshot the initially-ready set before submitting anything: a running
-  // task may drain another cblk's counter to zero and submit it itself, and
-  // submitting it here too would eliminate the same supernode twice.
-  std::vector<index_t> ready;
-  for (index_t k = 0; k < ncblk; ++k) {
-    if (deps_[static_cast<std::size_t>(k)].load(std::memory_order_relaxed) == 0) {
-      ready.push_back(k);
-    }
-  }
-  // Submit with critical-path priorities: among the (many) initially-ready
-  // leaves the scheduler picks the one heading the most expensive chain to
-  // the root first, which keeps the elimination tree's critical path moving.
-  const auto& prio = sf_.critical_priorities();
-  for (const index_t k : ready) {
-    pool->submit([this, k] { eliminate(k); }, prio[static_cast<std::size_t>(k)]);
-  }
-  pool->wait_idle();
-  // A failure cancelled the pool to drain queued eliminations; clear the
-  // flag so the pool is immediately reusable (recovery retries, benches).
-  pool->reset_cancel();
-  pool_ = nullptr;
-  if (failed_.load()) throw_recorded();
-}
-
-void NumericFactor::factorize_left_looking() {
-  // For each target, the update groups (source supernode, facing blok) it
-  // receives, in the right-looking schedule's (k, f) order.
-  struct Update {
-    index_t k, f;
-  };
-  const index_t ncblk = sf_.num_cblks();
-  std::vector<std::vector<Update>> incoming(static_cast<std::size_t>(ncblk));
-  for (index_t k = 0; k < ncblk; ++k) {
-    const auto& bloks = sf_.cblk(k).bloks;
-    for (index_t f = 0; f < static_cast<index_t>(bloks.size()); ++f) {
-      const index_t t = bloks[static_cast<std::size_t>(f)].fcblk;
-      incoming[static_cast<std::size_t>(t)].push_back({k, f});
-    }
-  }
-  std::vector<GroupPair> pairs;
-
-  for (index_t k = 0; k < ncblk; ++k) {
-    const double t0 = opts_.collect_trace ? trace_clock_.elapsed() : 0.0;
-    try {
-      // Allocate and assemble this supernode only now — the memory gain of
-      // the left-looking schedule (paper §4.3).
-      assemble_cblk(k);
-      PanelImage img;
-      for (const Update& u : incoming[static_cast<std::size_t>(k)]) {
-        pairs.clear();
-        collect_group(u.k, u.f, pairs);
-        apply_group(u.k, u.f, pairs.data(), pairs.size(), img);
-      }
-      incoming[static_cast<std::size_t>(k)].clear();
-      incoming[static_cast<std::size_t>(k)].shrink_to_fit();
-      factor_panel(k, img);
-    } catch (ResourceError& e) {
-      // Sequential schedule: stamp and propagate straight to the ladder.
-      stamp_resource(e.report(), k);
-      throw;
-    }
-    if (opts_.collect_trace) {
-      trace_.push_back({k, 0, t0, trace_clock_.elapsed()});
-    }
-  }
-}
-
-// ---- dataflow execution (options.dataflow == Dag, DESIGN.md §12) --------
-//
-// The factorization becomes a task DAG over per-tile operations. Task ids
-// are the canonical sequence numbers — the exact order the barrier driver
-// runs the same operations — and applies into one target tile are chained
-// (write-after-write edges) in that order, so every tile sees the same value
-// history under any topological execution order. Consequence: dataflow runs
-// are bit-identical to the sequential barrier run at every thread count.
-
-void NumericFactor::factorize_dag(ThreadPool* pool) {
-  pool_ = pool;
-  // A Solver-cached skeleton (same plan, same llt flavor) skips the rebuild;
-  // the graph is symbolic-only and execute() is const, so sharing one across
-  // numeric passes is free of aliasing.
-  if (reuse_.dag != nullptr) {
-    dagp_ = reuse_.dag;
   } else {
-    dag_ = std::make_unique<TaskGraph>(TaskGraph::build(sf_, llt_));
-    dagp_ = dag_.get();
+    pool_ = pool;
+    // Snapshot the initially-ready set before submitting anything: a
+    // running task may drain another cblk's counter to zero and submit it
+    // itself, and submitting it here too would run the same supernode
+    // twice.
+    std::vector<index_t> ready;
+    for (index_t k = 0; k < ncblk; ++k) {
+      if (deps_[static_cast<std::size_t>(k)].load(std::memory_order_relaxed) ==
+          0) {
+        ready.push_back(k);
+      }
+    }
+    // Submit with critical-path priorities: among the (many) initially-ready
+    // leaves the scheduler picks the one heading the most expensive chain to
+    // the root first, which keeps the elimination tree's critical path
+    // moving.
+    const auto& prio = sf_.critical_priorities();
+    for (const index_t k : ready) {
+      pool->submit([this, k] { run_task(k); },
+                   prio[static_cast<std::size_t>(k)]);
+    }
+    pool->wait_idle();
+    // A failure cancelled the pool to drain queued tasks; clear the flag so
+    // the pool is immediately reusable (recovery retries, benches).
+    pool->reset_cancel();
+    pool_ = nullptr;
   }
-  epochs_ = std::make_unique<EpochGate>(dagp_->num_addrs());
-  dag_slots_.clear();
-  dag_slots_.resize(dagp_->num_updates());
-  dag_stats_ = DagStats{};
-  dag_stats_.tasks = dagp_->num_tasks();
-  dag_stats_.edges = dagp_->num_edges();
-  dag_stats_.critical_path = dagp_->critical_path();
-
-  const auto& prio = sf_.critical_priorities();
-  const TaskGraph::RunStats rs = dagp_->execute(
-      pool, [this](std::uint32_t id) { return run_dag_task(id); },
-      [this, &prio](std::uint32_t id) {
-        return prio[static_cast<std::size_t>(dagp_->task(id).k)];
-      });
-  dag_stats_.executed = rs.executed;
-  dag_stats_.ready_peak = rs.ready_peak;
-
-  // A failure cancelled the pool (record_failure); make it reusable.
-  if (pool != nullptr) pool->reset_cancel();
-  pool_ = nullptr;
-  dag_slots_.clear();
-  dag_slots_.shrink_to_fit();
-  dag_.reset();
-  dagp_ = nullptr;
-  epochs_.reset();
-  // The DAG assembles lazily; the permuted input can go only now.
-  ap_ = sparse::CscMatrix();
-  apt_ = sparse::CscMatrix();
-  input_track_ = TrackedAlloc();
+  if (left) {
+    // The lazy assembly is over: the permuted input and the group lists go
+    // now, successful run or not.
+    in_off_ = {};
+    in_ = {};
+    ap_ = sparse::CscMatrix();
+    apt_ = sparse::CscMatrix();
+    input_track_ = TrackedAlloc();
+  }
   if (failed_.load()) throw_recorded();
 }
 
-bool NumericFactor::run_dag_task(std::uint32_t id) {
-  if (failed_.load(std::memory_order_relaxed)) return false;
-  const DagTask& t = dagp_->task(id);
+void NumericFactor::run_task(index_t k) {
+  if (opts_.scheduling == Scheduling::LeftLooking) {
+    pull(k);
+  } else {
+    eliminate(k);
+  }
+}
+
+// ---- left-looking fan-in (DESIGN.md §12) ---------------------------------
+//
+// One task per target supernode t, released once every source supernode
+// that updates t is factored. The task assembles t, applies its incoming
+// groups in canonical (k, f) order — the order of the sequential sweep —
+// and factors t's panel. Only the task of t ever writes t, so every element
+// sees the same operations in the same order at any thread count: the
+// factors are bit-identical to the sequential run by construction.
+
+void NumericFactor::pull(index_t t) {
+  if (failed_.load(std::memory_order_relaxed)) return;
+  const double t0 = opts_.collect_trace ? trace_clock_.elapsed() : 0.0;
   try {
-    poll_deadline(t.k);
-    switch (t.kind) {
-      case DagTaskKind::Assemble: dag_assemble(t); break;
-      case DagTaskKind::Factor: dag_factor(t); break;
-      case DagTaskKind::Compress: dag_compress(t); break;
-      case DagTaskKind::Trsm: dag_trsm(t); break;
-      case DagTaskKind::Product: dag_product(t); break;
-      case DagTaskKind::Apply: dag_apply(t); break;
+    // Allocate and assemble this supernode only now — the memory gain of
+    // the left-looking schedule (paper §4.3).
+    assemble_cblk(t);
+    PanelImage img;
+    std::vector<GroupPair> pairs;
+    for (index_t g = in_off_[static_cast<std::size_t>(t)];
+         g < in_off_[static_cast<std::size_t>(t) + 1]; ++g) {
+      // Early exit at group granularity, as in update_range.
+      if (failed_.load(std::memory_order_relaxed)) break;
+      poll_deadline(t);
+      const InGroup u = in_[static_cast<std::size_t>(g)];
+      pairs.clear();
+      collect_group(u.k, u.f, pairs);
+      apply_group(u.k, u.f, pairs.data(), pairs.size(), img);
+    }
+    factor_panel(t, img);
+    if (!failed_.load(std::memory_order_relaxed)) {
+      for (const symbolic::Blok& b : sf_.cblk(t).bloks) release(b.fcblk);
     }
   } catch (ResourceError& e) {
-    stamp_resource(e.report(), t.k);
+    stamp_resource(e.report(), t);
     record_resource_failure(std::move(e.report()));
-    return false;
   } catch (const NumericalError& e) {
     record_failure(e.report());
-    return false;
   } catch (const std::exception& e) {
-    record_failure(make_report(FailureKind::Unknown, t.k, -1, std::nan(""),
+    record_failure(make_report(FailureKind::Unknown, t, -1, std::nan(""),
                                e.what()));
-    return false;
   }
-  return true;
-}
-
-void NumericFactor::dag_assemble(const DagTask& t) {
-  assemble_cblk(t.k);
-  const index_t nb = static_cast<index_t>(sf_.cblk(t.k).bloks.size());
-  epochs_->advance(dagp_->diag_addr(t.k), EpochGate::kUnassembled,
-                   EpochGate::kAssembled);
-  for (index_t i = 0; i < nb; ++i) {
-    epochs_->advance(dagp_->panel_addr(t.k, false, i), EpochGate::kUnassembled,
-                     EpochGate::kAssembled);
-  }
-  if (!llt_) {
-    for (index_t i = 0; i < nb; ++i) {
-      epochs_->advance(dagp_->panel_addr(t.k, true, i), EpochGate::kUnassembled,
-                       EpochGate::kAssembled);
-    }
-  }
-}
-
-void NumericFactor::dag_factor(const DagTask& t) {
-  const index_t k = t.k;
-  CblkData& cd = data_[static_cast<std::size_t>(k)];
-  const double t0 = opts_.collect_trace ? trace_clock_.elapsed() : 0.0;
-  epochs_->expect(dagp_->diag_addr(k), EpochGate::kAssembled);
-  maybe_skew_clock(k);
-  poll_deadline(k);
-
-  if (opts_.fault.kind == FaultInjection::Kind::TinyPivot &&
-      opts_.fault.supernode == k && opts_.fault.try_fire()) {
-    la::DMatrix& dg = cd.diag.dense();
-    for (index_t i = 0; i < dg.rows(); ++i) dg(i, 0) = 0;
-    dg(0, 0) = 0;
-  }
-
-  index_t replaced = 0;
-  const index_t info =
-      dispatch::factor_diag(cd.diag, cd.ipiv, llt_, pivot_cutoff_, replaced);
-  if (replaced > 0)
-    pivots_replaced_.fetch_add(replaced, std::memory_order_relaxed);
-  if (info != 0) {
-    const index_t piv = info - 1;
-    const double mag = std::abs(static_cast<double>(cd.diag.dense()(piv, piv)));
-    std::ostringstream os;
-    os << (llt_ ? "potrf" : "getrf") << " cannot eliminate the pivot";
-    fail(make_report(llt_ ? FailureKind::NonPositivePivot
-                          : FailureKind::ZeroPivot,
-                     k, piv, mag, os.str()));
-  }
-  if (opts_.check_finite && !all_finite(cd.diag)) {
-    std::ostringstream os;
-    os << "non-finite value in diagonal block of supernode " << k
-       << " after panel factorization";
-    fail(make_report(FailureKind::NonFinitePanel, k, -1, std::nan(""),
-                     os.str()));
-  }
-  cd.diag.advance(lr::TileState::Factored);
-  cd.eliminated = true;
-  epochs_->advance(dagp_->diag_addr(k), EpochGate::kAssembled,
-                   EpochGate::kFactored);
-  if (opts_.collect_trace) {
-    // One event per supernode, anchored at its diagonal factorization (the
-    // panel's serialization point in the DAG schedule).
-    const double t1 = trace_clock_.elapsed();
-    const int wid = ThreadPool::current_worker();
-    const std::size_t worker = wid >= 0 ? static_cast<std::size_t>(wid) : 0;
-    std::lock_guard lock(trace_mutex_);
-    trace_.push_back({k, worker, t0, t1});
-  }
-}
-
-void NumericFactor::dag_compress(const DagTask& t) {
-  const std::uint64_t addr = dagp_->panel_addr(t.k, t.upper, t.bi);
-  epochs_->expect(addr, EpochGate::kAssembled);
-  if (opts_.accumulate_updates) flush_accumulator(t.k, t.upper, t.bi);
-  CblkData& cd = data_[static_cast<std::size_t>(t.k)];
-  lr::Tile& blk =
-      (t.upper ? cd.upanel : cd.lpanel)[static_cast<std::size_t>(t.bi)];
-  const symbolic::Blok& sb = sf_.cblk(t.k).bloks[static_cast<std::size_t>(t.bi)];
-  policy_->at_elimination(t.k, BlockSite{t.bi, t.upper}, blk,
-                          compressible(t.k, sb), pctx_);
-  epochs_->advance(addr, EpochGate::kAssembled, EpochGate::kEliminating);
-}
-
-void NumericFactor::dag_trsm(const DagTask& t) {
-  const std::uint64_t addr = dagp_->panel_addr(t.k, t.upper, t.bi);
-  epochs_->expect(dagp_->diag_addr(t.k), EpochGate::kFactored);
-  epochs_->expect(addr, EpochGate::kEliminating);
-  CblkData& cd = data_[static_cast<std::size_t>(t.k)];
-  lr::Tile& blk =
-      (t.upper ? cd.upanel : cd.lpanel)[static_cast<std::size_t>(t.bi)];
-  if (blk.rank() == 0) {
-    blk.advance(lr::TileState::Factored);
-  } else {
-    dispatch::panel_solve(cd.diag, cd.ipiv, blk, llt_, t.upper);
-    blk.advance(lr::TileState::Factored);
-  }
-  if (opts_.check_finite && !all_finite(blk)) {
-    std::ostringstream os;
-    os << "non-finite value in " << (t.upper ? "U panel" : "L panel")
-       << " of supernode " << t.k << " after panel factorization";
-    fail(make_report(FailureKind::NonFinitePanel, t.k, -1, std::nan(""),
-                     os.str()));
-  }
-  epochs_->advance(addr, EpochGate::kEliminating, EpochGate::kFactored);
-}
-
-void NumericFactor::dag_product(const DagTask& t) {
-  CblkData& cd = data_[static_cast<std::size_t>(t.k)];
-  const lr::Tile* a = &cd.lpanel[static_cast<std::size_t>(t.bi)];
-  const lr::Tile* b = llt_ ? &cd.lpanel[static_cast<std::size_t>(t.bj)]
-                           : &cd.upanel[static_cast<std::size_t>(t.bj)];
-  epochs_->expect(dagp_->panel_addr(t.k, false, t.bi), EpochGate::kFactored);
-  epochs_->expect(llt_ ? dagp_->panel_addr(t.k, false, t.bj)
-                       : dagp_->panel_addr(t.k, true, t.bj),
-                  EpochGate::kFactored);
-
-  auto slot = std::make_unique<DagUpdateSlot>();
-  slot->loc = locate_update(t.k, t.bi, t.bj);
-  slot->a = a;
-  slot->b = b;
-  if (a->rank() == 0 || b->rank() == 0) {
-    slot->zero = true;
-  } else if (!a->is_lowrank() && !b->is_lowrank()) {
-    // Dense×dense fuses the GEMM into the target under the lock, so the
-    // whole update defers to the (chained) apply task.
-    slot->dense_pair = true;
-  } else {
-    slot->prod = dispatch::product(*a, *b, opts_.kind, opts_.tolerance,
-                                   update_need_ortho(slot->loc));
-  }
-  dag_slots_[t.slot] = std::move(slot);
-}
-
-void NumericFactor::dag_apply(const DagTask& t) {
-  std::unique_ptr<DagUpdateSlot> slot =
-      std::move(dag_slots_[t.slot]);
-  if (!slot) throw Error("dag: apply task ran without its product");
-  const UpdateLoc& loc = slot->loc;
-  const std::uint64_t taddr =
-      loc.target_diag ? dagp_->diag_addr(loc.tcblk)
-                      : dagp_->panel_addr(loc.tcblk, loc.target_upper,
-                                         loc.tb_idx);
-  // Updates may only land on assembled, not-yet-eliminating tiles — the
-  // runtime-checked half of the Tile state contract at DAG granularity.
-  epochs_->expect(taddr, EpochGate::kAssembled);
-  if (slot->zero) return;
-  std::lock_guard guard(locks_[static_cast<std::size_t>(loc.tcblk)]);
-  if (slot->dense_pair) {
-    dense_pair_locked(loc, *slot->a, *slot->b);
-  } else {
-    finish_update_locked(loc, std::move(slot->prod));
-  }
+  if (opts_.collect_trace) record_trace(t, t0);
 }
 
 void NumericFactor::eliminate(index_t k) {
@@ -787,13 +607,15 @@ void NumericFactor::eliminate(index_t k) {
     record_failure(make_report(FailureKind::Unknown, k, -1, std::nan(""),
                                e.what()));
   }
-  if (opts_.collect_trace) {
-    const double t1 = trace_clock_.elapsed();
-    const int wid = ThreadPool::current_worker();
-    const std::size_t worker = wid >= 0 ? static_cast<std::size_t>(wid) : 0;
-    std::lock_guard lock(trace_mutex_);
-    trace_.push_back({k, worker, t0, t1});
-  }
+  if (opts_.collect_trace) record_trace(k, t0);
+}
+
+void NumericFactor::record_trace(index_t k, double t0) {
+  const double t1 = trace_clock_.elapsed();
+  const int wid = ThreadPool::current_worker();
+  const std::size_t worker = wid >= 0 ? static_cast<std::size_t>(wid) : 0;
+  std::lock_guard lock(trace_mutex_);
+  trace_.push_back({k, worker, t0, t1});
 }
 
 void NumericFactor::update_range(index_t k, index_t jb, index_t je,
@@ -809,7 +631,7 @@ void NumericFactor::update_range(index_t k, index_t jb, index_t je,
       pairs.clear();
       const index_t target = collect_group(k, f, pairs);
       apply_group(k, f, pairs.data(), pairs.size(), img);
-      release_group(target);
+      release(target);
     }
   } catch (ResourceError& e) {
     stamp_resource(e.report(), k);
@@ -832,7 +654,7 @@ void NumericFactor::factor_panel(index_t k, PanelImage& img) {
 
     // Merge any pending LUAR accumulators: every incoming update must be in
     // the panels before elimination. All updates into k are already applied
-    // (dependency counters), so no lock is needed.
+    // (dependency counters, or k's own pull), so no lock is needed.
     if (opts_.accumulate_updates) flush_all_accumulators(k);
 
     if (opts_.fault.kind == FaultInjection::Kind::TinyPivot &&
@@ -1074,13 +896,14 @@ void NumericFactor::finish_update_locked(const UpdateLoc& loc, lr::Tile p) {
 //
 // Every block pair (i, j) of source k lands in cblk min(fcblk(i), fcblk(j)).
 // Group (k, f) holds the pairs landing in fcblk(f) that are keyed on f (see
-// update_group_bounds), so one group takes one target lock and drains one
-// dependency count. Inside a group, runs of dense rows with dense targets
-// become ONE gemm of packed panel rows against the facing blok, accumulated
-// into the gathered target values: each target element sees exactly the
-// per-pair call's operations in the same canonical order (la::gemm), and
-// the pairs of one source write disjoint target regions, so the factors are
-// bit-identical to the per-pair schedule the DAG still runs.
+// update_group_bounds), so one group takes one target lock (and, in the
+// right-looking driver, drains one dependency count). Inside a group, runs
+// of dense rows with dense targets become ONE gemm of packed panel rows
+// against the facing blok, accumulated into the gathered target values:
+// each target element sees exactly the per-pair call's operations in the
+// same canonical order (la::gemm), and the pairs of one source write
+// disjoint target regions, so the factors are bit-identical to the per-pair
+// schedule (pinned as hashes by the GroupedVsDag tests).
 
 index_t NumericFactor::collect_group(index_t k, index_t f,
                                      std::vector<GroupPair>& out) const {
@@ -1212,13 +1035,12 @@ void NumericFactor::apply_group(index_t k, index_t f, GroupPair* pairs,
   flush();
 }
 
-void NumericFactor::release_group(index_t tcblk) {
+void NumericFactor::release(index_t tcblk) {
   const index_t left = deps_[static_cast<std::size_t>(tcblk)].fetch_sub(
                            1, std::memory_order_acq_rel) - 1;
-  if (left == 0 && pool_ != nullptr) {
-    pool_->submit([this, tcblk] { eliminate(tcblk); },
-                  sf_.critical_priorities()[static_cast<std::size_t>(tcblk)]);
-  }
+  if (left != 0 || pool_ == nullptr) return;
+  pool_->submit([this, tcblk] { run_task(tcblk); },
+                sf_.critical_priorities()[static_cast<std::size_t>(tcblk)]);
 }
 
 void NumericFactor::pack_panel(index_t k, index_t from, PanelImage& img) {

@@ -14,7 +14,6 @@
 #include "core/options.hpp"
 #include "core/rank_memory.hpp"
 #include "core/solve_plan.hpp"
-#include "core/task_graph.hpp"
 #include "core/update_policy.hpp"
 #include "lowrank/buffer_pool.hpp"
 #include "lowrank/kernels.hpp"
@@ -59,10 +58,11 @@ struct UpdateLoc {
   bool target_upper = false; ///< lands in the U panel (LU only)
 };
 
-/// One elimination-task execution record (Gantt row) of the factorization.
-/// Covers the supernode's panel factorization plus the updates applied from
-/// the eliminating task itself (panel-split subtasks are not traced: the
-/// trace keeps exactly one event per supernode).
+/// One supernode-task execution record (Gantt row) of the factorization.
+/// Right-looking: the panel factorization plus the updates applied from the
+/// eliminating task itself (panel-split subtasks are not traced). Left-
+/// looking: the assembly, the pulled updates and the panel factorization.
+/// Either way the trace keeps exactly one event per supernode.
 struct TraceEvent {
   index_t cblk;
   std::size_t worker;  ///< dense pool worker index (0 for sequential runs)
@@ -71,17 +71,14 @@ struct TraceEvent {
 };
 
 /// State a re-factorization replays from the previous numeric pass over
-/// the same SymbolicPlan (DESIGN.md §15). All three are optional and
-/// cost-only: ranks warm-start compressions (verified, grow-on-mismatch),
-/// buffers recycle retired factor storage, and `dag` is a prebuilt task
-/// graph skeleton (must match the effective factorization's llt flavor —
-/// ignored otherwise). Pointed-to state must outlive the NumericFactor.
-/// (Namespace-scope rather than nested so it can default-initialize in the
-/// constructor's default argument.)
+/// the same SymbolicPlan (DESIGN.md §15). Both are optional and cost-only:
+/// ranks warm-start compressions (verified, grow-on-mismatch) and buffers
+/// recycle retired factor storage. Pointed-to state must outlive the
+/// NumericFactor. (Namespace-scope rather than nested so it can
+/// default-initialize in the constructor's default argument.)
 struct NumericReuse {
   const RankMemory* ranks = nullptr;   ///< learned per-block ranks
   lr::BufferPool* buffers = nullptr;   ///< retired dense-buffer pool
-  const TaskGraph* dag = nullptr;      ///< prebuilt Dag skeleton
 };
 
 /// Dedicated thread pool for the parallel solve phase (DESIGN.md §16),
@@ -109,11 +106,13 @@ struct SolveRunInfo {
   std::uint64_t widen_hits = 0;  ///< fp32 widen-cache hits during this call
 };
 
-/// The supernodal numeric factorization: one right-looking driver over
-/// tiles, parameterized by an UpdatePolicy (Dense baseline, Just-In-Time,
-/// Minimal Memory, Adaptive), for both LU (general, symmetric pattern) and
-/// LLᵗ (SPD). All numeric operations route through the KernelDispatch
-/// registry.
+/// The supernodal numeric factorization over tiles, parameterized by an
+/// UpdatePolicy (Dense baseline, Just-In-Time, Minimal Memory, Adaptive),
+/// for both LU (general, symmetric pattern) and LLᵗ (SPD). Two drivers
+/// share the update and panel code: right-looking (one task per supernode
+/// pushing its updates) and the left-looking fan-in (one task per supernode
+/// pulling them, DESIGN.md §12). All numeric operations route through the
+/// KernelDispatch registry.
 class NumericFactor {
 public:
   using Reuse = NumericReuse;
@@ -134,8 +133,9 @@ public:
   NumericFactor& operator=(const NumericFactor&) = delete;
 
   /// Runs the numeric factorization. `pool` may be null for sequential
-  /// execution; otherwise supernode eliminations are scheduled as tasks
-  /// whose dependencies are the incoming block updates.
+  /// execution; otherwise one task per supernode is released to the pool
+  /// once its incoming update groups are applied (right-looking) or its
+  /// source supernodes are factored (left-looking).
   void factorize(ThreadPool* pool);
 
   /// Triangular solves in the permuted index space on a block of right-hand
@@ -199,17 +199,6 @@ public:
   /// Elimination schedule trace (empty unless options.collect_trace).
   [[nodiscard]] const std::vector<TraceEvent>& trace() const { return trace_; }
 
-  /// Counters of the dataflow run (all zero unless options.dataflow == Dag
-  /// took the right-looking path).
-  struct DagStats {
-    std::uint64_t tasks = 0;          ///< DAG nodes built
-    std::uint64_t edges = 0;          ///< inferred + explicit dependencies
-    std::uint64_t executed = 0;       ///< task bodies actually run
-    std::uint64_t ready_peak = 0;     ///< max released-but-not-started tasks
-    std::uint64_t critical_path = 0;  ///< longest dependency chain (tasks)
-  };
-  [[nodiscard]] const DagStats& dag_stats() const { return dag_stats_; }
-
   /// Direct block access (tests / benches).
   [[nodiscard]] const CblkData& cblk_data(index_t k) const {
     return data_[static_cast<std::size_t>(k)];
@@ -261,19 +250,16 @@ private:
   /// k's factored panel for the updates. With a pool attached, a panel's
   /// compression attempts run as one parallel loop (DESIGN.md §11).
   void factor_panel(index_t k, PanelImage& img);
-  void factorize_left_looking();
-  /// Dataflow execution (options.dataflow == Dag): build the TaskGraph over
-  /// per-tile operations, then run it — sequentially in the canonical
-  /// (barrier) order, or released to the pool as in-degrees reach zero.
-  void factorize_dag(ThreadPool* pool);
-  /// Body of one DAG task; returns false on failure (stops the run).
-  bool run_dag_task(std::uint32_t id);
-  void dag_assemble(const DagTask& t);
-  void dag_factor(const DagTask& t);
-  void dag_compress(const DagTask& t);
-  void dag_trsm(const DagTask& t);
-  void dag_product(const DagTask& t);
-  void dag_apply(const DagTask& t);
+  /// The task of supernode k under the active schedule: eliminate(k)
+  /// (right-looking) or pull(k) (left-looking).
+  void run_task(index_t k);
+  /// Left-looking fan-in task of target supernode t (DESIGN.md §12):
+  /// assemble t, apply its incoming groups (k, f) in canonical order, factor
+  /// its panel, then release the targets t updates.
+  void pull(index_t t);
+  /// Append the trace event of supernode k's task (started at t0) with the
+  /// executing pool worker.
+  void record_trace(index_t k, double t0);
   /// Symbolic geometry of the (bi, bj) update produced by supernode k.
   [[nodiscard]] UpdateLoc locate_update(index_t k, index_t bi, index_t bj) const;
   /// Whether the update's contribution product must carry an orthonormal U
@@ -310,9 +296,9 @@ private:
   /// Low-rank-operand pairs form their product outside the lock.
   void apply_group(index_t k, index_t f, GroupPair* pairs, std::size_t n,
                    PanelImage& img);
-  /// One group done: drain the target's dependency counter and submit its
-  /// elimination when it reaches zero.
-  void release_group(index_t tcblk);
+  /// One dependency of `tcblk` satisfied: drain its counter and, when it
+  /// reaches zero, submit run_task(tcblk) with its critical-path priority.
+  void release(index_t tcblk);
 
   /// Pack the dense bloks [from, nb) of k's panels into `img` unless it
   /// already holds them.
@@ -393,8 +379,8 @@ private:
   std::unique_ptr<UpdatePolicy> policy_;
   PolicyContext pctx_;
 
-  // Permuted input (and its transpose for the U side). Kept alive for the
-  // left-looking schedule, which assembles supernodes lazily; released after
+  // Permuted input (and its transpose for the U side). Kept alive through
+  // the left-looking run, which assembles supernodes lazily; released after
   // assembly in the right-looking schedule.
   sparse::CscMatrix ap_;
   sparse::CscMatrix apt_;
@@ -402,7 +388,9 @@ private:
 
   std::vector<CblkData> data_;
   std::vector<std::mutex> locks_;              // per-cblk update locks
-  std::vector<std::atomic<index_t>> deps_;     // remaining incoming groups
+  // Remaining incoming groups per cblk, drained when a group is applied
+  // (right-looking) or when its source is factored (left-looking).
+  std::vector<std::atomic<index_t>> deps_;
   ThreadPool* pool_ = nullptr;                 // active during factorize()
   real_t pivot_cutoff_ = 0;                    // absolute static-pivot threshold
   std::atomic<index_t> pivots_replaced_{0};
@@ -418,23 +406,13 @@ private:
   std::mutex error_mutex_;
   std::atomic<index_t> compressions_{0};  // compression-site counter (injection)
 
-  // ---- dataflow (options.dataflow == Dag) state ----------------------
-  /// Product → Apply hand-off: the product task forms the contribution and
-  /// parks it here; the (chained) apply task consumes it. Allocated lazily so
-  /// only in-flight updates hold slot storage.
-  struct DagUpdateSlot {
-    UpdateLoc loc;
-    lr::Tile prod;             ///< formed contribution (non-fused path)
-    const lr::Tile* a = nullptr;
-    const lr::Tile* b = nullptr;
-    bool dense_pair = false;   ///< defer the fused GEMM to the apply task
-    bool zero = false;         ///< rank-0 operand: the apply is a no-op
+  /// Left-looking incoming groups, CSR by target: the groups (k, f) target
+  /// t receives are in_[in_off_[t] .. in_off_[t + 1]), in canonical order.
+  struct InGroup {
+    index_t k, f;
   };
-  std::unique_ptr<TaskGraph> dag_;     ///< owned graph (cold Dag runs)
-  const TaskGraph* dagp_ = nullptr;    ///< active graph: reuse_.dag or dag_
-  std::unique_ptr<EpochGate> epochs_;
-  std::vector<std::unique_ptr<DagUpdateSlot>> dag_slots_;
-  DagStats dag_stats_;
+  std::vector<index_t> in_off_;
+  std::vector<InGroup> in_;
 
   // ---- solve phase (DESIGN.md §16) state ------------------------------
   std::shared_ptr<const SolvePlan> splan_;   ///< cached solve schedule

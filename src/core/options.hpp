@@ -44,30 +44,17 @@ enum class TilePrecision {
                ///< dense tiles and diagonal (pivotal) blocks always stay fp64
 };
 
-/// Update scheduling. Right-looking is the paper's setup (static parallel
-/// scheduler). Left-looking is the §4.3 extension: a supernode's panels are
-/// allocated, assembled and updated only when it is eliminated, so the
-/// Just-In-Time strategy's memory peak drops below the dense footprint
-/// (sequential execution only).
+/// Update scheduling. Right-looking is the paper's setup: each supernode is
+/// eliminated as one task that pushes its updates into the trailing
+/// supernodes, so updates into one target land in completion order.
+/// Left-looking is the §4.3 extension, run as a fan-in over the same pool
+/// (DESIGN.md §12): one task per supernode allocates, assembles and pulls
+/// all its incoming updates in canonical order, then factors its panel.
+/// Just-In-Time's memory peak drops below the dense footprint, and the
+/// factors are bit-identical at every thread count.
 enum class Scheduling {
   RightLooking,
   LeftLooking,
-};
-
-/// Execution model of the right-looking factorization (DESIGN.md §12).
-/// Barrier is the classic driver: supernode eliminations synchronize at
-/// panel boundaries (factor + compress + TRSM + all updates of one supernode
-/// run as one task). Dag decomposes the factorization into per-tile tasks
-/// (assemble, factor, compress, TRSM, update product, update apply) with
-/// dependencies inferred from read/write sets over (supernode, block) tile
-/// addresses and released to the pool as their in-degree reaches zero — so
-/// the compression of one supernode overlaps the updates of another.
-/// Update-applies into one tile are chained in the barrier's order, which
-/// makes Dag results bit-identical to the sequential Barrier run at every
-/// thread count. Ignored (Barrier behavior) under Scheduling::LeftLooking.
-enum class Dataflow {
-  Barrier,
-  Dag,
 };
 
 /// Deterministic fault-injection hook: forces a specific breakdown so every
@@ -224,38 +211,29 @@ struct SolverOptions {
   real_t tolerance = 1e-8;  ///< block compression tolerance τ (default 1e-8); read by every compressing strategy
   /// Worker threads (default 1 = sequential) of the one work-stealing pool
   /// that runs the numeric factorization — supernode eliminations with
-  /// critical-path priorities, panel-split update subtasks and each panel's
+  /// critical-path priorities (right-looking eliminations or left-looking
+  /// pulls), panel-split update subtasks and each panel's
   /// elimination-time compressions (DESIGN.md §7, §11) — and nested
   /// dissection in analyze(), whose ordering is identical at any count
   /// (DESIGN.md §17). Read by every strategy.
   int threads = 1;
 
-  /// Parallel triangular-solve phase (default on; DESIGN.md §16). Solves
-  /// drain the cached SolvePlan DAG over a dedicated solve pool and are
-  /// memcmp-identical to the in-order drain at every thread count. Only
-  /// takes effect when the effective solve thread count (below) is > 1;
-  /// blocks too small to pay for the pool, and concurrent solve() calls
-  /// beyond the first, drain in order on the calling thread rather than
-  /// queueing.
-  bool solve_parallel = true;
-
-  /// Worker threads for the solve phase; 0 (default) inherits `threads`.
-  /// The solve pool is separate from the factorization pool, so a Session
-  /// can serve parallel solves while a refactorize() runs on the other
-  /// pool. Read at Solver construction.
+  /// Worker threads for the solve phase; 0 (default) inherits `threads`,
+  /// 1 drains every solve in order on the calling thread. Above 1, solves
+  /// drain the cached SolvePlan over a dedicated solve pool and are
+  /// memcmp-identical to the in-order drain (DESIGN.md §16); blocks too
+  /// small to pay for the pool, and concurrent solve() calls beyond the
+  /// first, still drain in order on the calling thread. The solve pool is
+  /// separate from the factorization pool, so a Session can serve parallel
+  /// solves while a refactorize() runs on the other pool. Read at Solver
+  /// construction.
   int solve_threads = 0;
-  /// Right-looking (default, the paper's setup) or left-looking traversal.
-  /// Left-looking is sequential-only and mainly benefits JustInTime's
-  /// memory peak (§4.3).
-  Scheduling scheduling = Scheduling::RightLooking;
 
-  /// Execution model of the right-looking driver (default Barrier, the
-  /// panel-synchronous loop — bit-identical to the pre-DAG engine). Dag runs
-  /// the factorization as a dependency-driven task graph over per-tile
-  /// operations (DESIGN.md §12): deterministic (bit-identical to the
-  /// sequential Barrier run at any thread count) and overlapping across
-  /// supernodes. Read by the numeric driver; ignored under LeftLooking.
-  Dataflow dataflow = Dataflow::Barrier;
+  /// Right-looking (default, the paper's setup and the fastest driver) or
+  /// left-looking traversal. Left-looking runs on the same pool, lowers
+  /// JustInTime's memory peak (§4.3) and gives factors that are
+  /// bit-identical at every thread count (DESIGN.md §12).
+  Scheduling scheduling = Scheduling::RightLooking;
 
   /// Per-tile storage precision (default Fp64). MixedTiles stores the U/V
   /// factors of eligible low-rank tiles in fp32 at rest — roughly halving
@@ -285,7 +263,7 @@ struct SolverOptions {
   /// Supernodes whose total off-diagonal panel height (rows) is at least
   /// this are updated by 1D panel-split subtasks instead of a single task,
   /// so one huge column block cannot occupy a single core while the rest of
-  /// the pool idles. Read by the barrier driver when threads > 1; 0
+  /// the pool idles. Read by the right-looking driver when threads > 1; 0
   /// disables splitting.
   index_t panel_split_rows = 512;
 
@@ -339,7 +317,7 @@ struct SolverOptions {
   /// Wall-clock deadline (milliseconds) on factorize(), spanning every
   /// recovery attempt. 0 (default) means none. Enforced by an epoch-checked
   /// watchdog polled from the numeric hot loops: on expiry the run cancels
-  /// cooperatively (the task DAG drains without leaks) and factorize throws
+  /// cooperatively (queued tasks drain without leaks) and factorize throws
   /// blr::ResourceError — deadline breaches are terminal, never retried.
   double deadline_ms = 0;
 
@@ -402,6 +380,5 @@ struct SolverOptions {
 const char* strategy_name(Strategy s);
 const char* kind_name(lr::CompressionKind k);
 const char* precision_name(TilePrecision p);
-const char* dataflow_name(Dataflow d);
 
 } // namespace blr::core

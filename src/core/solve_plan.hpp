@@ -5,7 +5,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/task_graph.hpp"
+#include "core/dep_builder.hpp"
 #include "symbolic/symbolic.hpp"
 
 namespace blr {

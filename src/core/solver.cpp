@@ -74,14 +74,6 @@ const char* precision_name(TilePrecision p) {
   return "?";
 }
 
-const char* dataflow_name(Dataflow d) {
-  switch (d) {
-    case Dataflow::Barrier: return "barrier";
-    case Dataflow::Dag: return "dag";
-  }
-  return "?";
-}
-
 const char* recovery_action_name(RecoveryStep::Action a) {
   switch (a) {
     case RecoveryStep::Action::TightenTolerance: return "tighten-tolerance";
@@ -122,7 +114,7 @@ Solver::Solver(SolverOptions opts) : opts_(opts) {
   // wait_idle-based quiescence cannot be shared with a concurrent
   // refactorize, and sessions overlap exactly those two phases.
   const int st = opts_.solve_threads > 0 ? opts_.solve_threads : opts_.threads;
-  if (opts_.solve_parallel && st > 1) {
+  if (st > 1) {
     solve_engine_ = std::make_shared<SolveEngine>(st);
   }
 }
@@ -139,7 +131,6 @@ void Solver::analyze(const sparse::CscMatrix& a) {
   // A new pattern invalidates every piece of warm state.
   ranks_ = RankMemory{};
   buffers_.clear();
-  dag_cache_.reset();
   refactorizations_ = 0;
   last_error_.clear();
 
@@ -156,7 +147,6 @@ void Solver::factorize(const sparse::CscMatrix& a) {
   // profile are independent of any earlier pass.
   ranks_ = RankMemory{};
   buffers_.clear();
-  dag_cache_.reset();
   refactorizations_ = 0;
   factorize_impl(a, /*warm=*/false);
 }
@@ -216,16 +206,6 @@ void Solver::factorize_impl(const sparse::CscMatrix& a, bool warm) {
     ~Disarm() { g.disarm(); }
   } disarm{governor_};
 
-  const auto capture_dag = [this] {
-    const NumericFactor::DagStats ds =
-        num_ ? num_->dag_stats() : NumericFactor::DagStats{};
-    stats_.dag_tasks = ds.tasks;
-    stats_.dag_edges = ds.edges;
-    stats_.dag_executed = ds.executed;
-    stats_.dag_ready_peak = ds.ready_peak;
-    stats_.dag_critical_path = ds.critical_path;
-  };
-
   const auto capture_scheduler = [this] {
     if (pool_) {
       const ThreadPool::WorkerStats ws = pool_->total_stats();
@@ -247,7 +227,7 @@ void Solver::factorize_impl(const sparse::CscMatrix& a, bool warm) {
 
   // Per-attempt counter capture (satellite of DESIGN.md §13): every counter
   // source is reset at the top of each attempt, so these are THIS attempt's
-  // numbers. Must run while num_ is still alive (dag_stats).
+  // numbers.
   const auto capture_attempt = [this](FactorizeAttempt& rec) {
     rec.peak_bytes = MemoryTracker::instance().peak_total();
     if (pool_) {
@@ -255,10 +235,6 @@ void Solver::factorize_impl(const sparse::CscMatrix& a, bool warm) {
       rec.scheduler_tasks = ws.executed;
       rec.scheduler_discarded = ws.discarded;
     }
-    const NumericFactor::DagStats ds =
-        num_ ? num_->dag_stats() : NumericFactor::DagStats{};
-    rec.dag_tasks = ds.tasks;
-    rec.dag_executed = ds.executed;
   };
 
   SolverOptions eff = opts_;
@@ -313,20 +289,11 @@ void Solver::factorize_impl(const sparse::CscMatrix& a, bool warm) {
 
     // Warm passes replay everything the previous pass learned that is safe
     // to replay under THIS attempt's effective options: learned ranks
-    // (verify-and-grow, so always safe), pooled buffers, and — for the DAG
-    // engine — the immutable task skeleton, rebuilt only when the effective
-    // llt flavor changed (the recovery ladder can flip LLᵗ -> LU mid-call).
+    // (verify-and-grow, so always safe) and pooled buffers.
     NumericFactor::Reuse reuse;
     if (warm) {
       if (opts_.warm_start && ranks_.valid) reuse.ranks = &ranks_;
       if (opts_.reuse_buffers) reuse.buffers = &buffers_;
-      if (eff.dataflow == Dataflow::Dag) {
-        if (!dag_cache_ || dag_cache_->llt() != llt_) {
-          dag_cache_ = std::make_unique<TaskGraph>(
-              TaskGraph::build(plan_->sf, llt_));
-        }
-        reuse.dag = dag_cache_.get();
-      }
     }
 
     Timer timer;
@@ -347,7 +314,6 @@ void Solver::factorize_impl(const sparse::CscMatrix& a, bool warm) {
     } catch (NumericalError& e) {
       rec.seconds = timer.elapsed();
       stats_.time_factorize += rec.seconds;
-      capture_dag();  // counters of the failed (cancelled) DAG run
       capture_attempt(rec);
       num_.reset();
       e.report().attempt = attempt;
@@ -367,7 +333,6 @@ void Solver::factorize_impl(const sparse::CscMatrix& a, bool warm) {
     } catch (ResourceError& e) {
       rec.seconds = timer.elapsed();
       stats_.time_factorize += rec.seconds;
-      capture_dag();
       capture_attempt(rec);
       num_.reset();
       e.report().attempt = attempt;
@@ -405,7 +370,6 @@ void Solver::factorize_impl(const sparse::CscMatrix& a, bool warm) {
   stats_.average_rank = num_->average_rank();
   stats_.dense_block_fraction = num_->dense_block_fraction();
   stats_.pivots_replaced = num_->pivots_replaced();
-  capture_dag();
   stats_.dispatch = KernelDispatch::instance().snapshot();
 
   // Warm-start bookkeeping for the NEXT pass: remember this pass's final
@@ -539,7 +503,6 @@ void Solver::print_summary(std::ostream& os) const {
     os << " (rank cap " << opts_.mixed_rank_threshold << ")";
   }
   os << "\n"
-     << "  dataflow      : " << dataflow_name(opts_.dataflow) << "\n"
      << "  backend       : " << la::backend_choice_name(opts_.backend);
   if (!stats_.backend.empty()) {
     os << " -> " << stats_.backend;
@@ -628,13 +591,6 @@ void Solver::print_summary(std::ostream& os) const {
     }
     os << "\n";
   }
-  if (stats_.dag_tasks > 0) {
-    os << "  task dag      : " << stats_.dag_tasks << " tasks, "
-       << stats_.dag_edges << " edges, critical path "
-       << stats_.dag_critical_path << ", ready peak "
-       << stats_.dag_ready_peak << ", " << stats_.dag_executed
-       << " executed\n";
-  }
   if (!stats_.dispatch.empty()) {
     os << "  kernels       :\n";
     for (const DispatchCount& d : stats_.dispatch) {
@@ -663,10 +619,6 @@ void Solver::print_summary(std::ostream& os) const {
       if (at.scheduler_tasks > 0 || at.scheduler_discarded > 0) {
         os << ", " << at.scheduler_tasks << " tasks ("
            << at.scheduler_discarded << " cancelled)";
-      }
-      if (at.dag_tasks > 0) {
-        os << ", dag " << at.dag_executed << "/" << at.dag_tasks
-           << " executed";
       }
       os << "\n";
     }

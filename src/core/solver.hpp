@@ -58,18 +58,18 @@ public:
   /// the block factorization under the configured strategy. Under
   /// TilePrecision::MixedTiles, low-rank factors below the demotion rank cap
   /// are stored in fp32 between kernels (DESIGN.md §10). A cold pass: any
-  /// warm state (learned ranks, pooled buffers, cached task graph) from
-  /// previous passes is discarded first.
+  /// warm state (learned ranks, pooled buffers) from previous passes is
+  /// discarded first.
   void factorize(const sparse::CscMatrix& a);
 
   /// Cheap numeric pass over a matrix with the SAME pattern analyze() saw
   /// but (typically) different values. Reuses the symbolic plan verbatim,
-  /// recycles the previous factors' storage through a buffer pool, replays
-  /// the cached task graph (Dataflow::Dag), and seeds each block's
-  /// compression with the previously learned rank — verified at the τ bound
-  /// and grown on mismatch, so accuracy is identical to a cold factorize()
-  /// (DESIGN.md §15). Falls back to factorize() when analyze() has not run;
-  /// throws blr::Error when the pattern fingerprint does not match.
+  /// recycles the previous factors' storage through a buffer pool, and seeds
+  /// each block's compression with the previously learned rank — verified
+  /// at the τ bound and grown on mismatch, so accuracy is identical to a
+  /// cold factorize() (DESIGN.md §15). Falls back to factorize() when
+  /// analyze() has not run; throws blr::Error when the pattern fingerprint
+  /// does not match.
   void refactorize(const sparse::CscMatrix& a);
 
   /// Direct triangular solve (b, x of length n; aliasing allowed).
@@ -142,7 +142,7 @@ public:
 
 private:
   /// Shared body of factorize()/refactorize(): the attempt loop with both
-  /// recovery ladders. `warm` enables plan/buffer/rank/task-graph reuse.
+  /// recovery ladders. `warm` enables plan/buffer/rank reuse.
   void factorize_impl(const sparse::CscMatrix& a, bool warm);
   /// Throw a structured NumericalError (FailureKind::NotFactorized, with the
   /// last terminal failure embedded) when no successful factorization is
@@ -156,7 +156,7 @@ private:
   std::unique_ptr<ThreadPool> pool_;
   /// Dedicated solve-phase pool + its one-drain-at-a-time lock, shared with
   /// every NumericFactor this solver produces (DESIGN.md §16). Null when
-  /// solve_parallel is off or the effective solve thread count is 1.
+  /// the effective solve thread count is 1.
   std::shared_ptr<SolveEngine> solve_engine_;
   std::shared_ptr<const SymbolicPlan> plan_;
   std::shared_ptr<NumericFactor> num_;
@@ -170,7 +170,6 @@ private:
   // Warm state carried between numeric passes over one plan (DESIGN.md §15).
   RankMemory ranks_;            ///< per-block ranks learned by the last pass
   lr::BufferPool buffers_;      ///< retired factor storage for reuse
-  std::unique_ptr<TaskGraph> dag_cache_;  ///< immutable task skeleton (Dag)
   std::uint64_t refactorizations_ = 0;
   /// Summary of the last terminal factorization failure (empty: none);
   /// embedded in the structured not-factorized error require_factors throws.
@@ -180,7 +179,6 @@ private:
 } // namespace blr::core
 
 namespace blr {
-using core::Dataflow;
 using core::Factorization;
 using core::RefinementOptions;
 using core::RefinementResult;

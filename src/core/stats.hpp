@@ -52,8 +52,6 @@ struct FactorizeAttempt {
   std::size_t peak_bytes = 0;            ///< tracker total high-water mark
   std::uint64_t scheduler_tasks = 0;     ///< pool tasks executed
   std::uint64_t scheduler_discarded = 0; ///< pool tasks drained by cancellation
-  std::uint64_t dag_tasks = 0;           ///< DAG nodes built (Dataflow::Dag)
-  std::uint64_t dag_executed = 0;        ///< DAG task bodies actually run
 };
 
 /// Warm-start counters of one numeric pass (DESIGN.md §15; all zero for
@@ -170,14 +168,6 @@ struct SolverStats {
   std::uint64_t scheduler_idle_sleeps = 0;    ///< worker blocking waits
   /// Tasks drained unrun by cooperative cancellation after a breakdown.
   std::uint64_t scheduler_discarded = 0;
-
-  // Task-DAG counters of the last factorize() (all zero under
-  // SolverOptions::dataflow == Dataflow::Barrier; DESIGN.md §12).
-  std::uint64_t dag_tasks = 0;          ///< tasks in the built graph
-  std::uint64_t dag_edges = 0;          ///< inferred + explicit edges (deduped)
-  std::uint64_t dag_executed = 0;       ///< task bodies actually run
-  std::uint64_t dag_ready_peak = 0;     ///< max ready-but-unstarted tasks
-  std::uint64_t dag_critical_path = 0;  ///< longest dependency chain (tasks)
 
   // Resource governance of the last factorize() (DESIGN.md §13; zero when
   // ungoverned).

@@ -81,8 +81,8 @@ public:
   /// compress tiles still dense at the storage-beneficial rank limit
   /// (Just-In-Time compression; also Minimal-Memory's re-attempt on blocks
   /// that fell back to dense during an extend-add). Touches only `t` and
-  /// thread-safe counters, so the barrier driver runs one panel's hooks in
-  /// parallel (DESIGN.md §11).
+  /// thread-safe counters, so both drivers run one panel's hooks in
+  /// parallel when a pool is attached (DESIGN.md §11).
   virtual void at_elimination(index_t k, BlockSite site, lr::Tile& t,
                               bool compressible,
                               const PolicyContext& ctx) const;

@@ -2,7 +2,7 @@
 // dispatch-table completeness across backends, exact bitwise agreement of
 // the la:: entry points under Reference vs Native, and memcmp bit-identity
 // of whole factorizations across strategies × compression kinds ×
-// precisions × dataflow modes — the contract that lets the engine A/B
+// precisions × schedules — the contract that lets the engine A/B
 // backends without tolerances.
 
 #include <gtest/gtest.h>
@@ -347,7 +347,7 @@ struct BackendCase {
   Strategy strategy;
   lr::CompressionKind kind;
   TilePrecision precision;
-  core::Dataflow dataflow;
+  core::Scheduling scheduling;
 };
 
 SolverOptions backend_opts(const BackendCase& c, la::BackendChoice backend) {
@@ -355,7 +355,7 @@ SolverOptions backend_opts(const BackendCase& c, la::BackendChoice backend) {
   o.strategy = c.strategy;
   o.kind = c.kind;
   o.precision = c.precision;
-  o.dataflow = c.dataflow;
+  o.scheduling = c.scheduling;
   o.backend = backend;
   o.threads = 1;
   // Small thresholds so the tiny test grids still produce low-rank blocks.
@@ -418,36 +418,36 @@ TEST_P(BackendBitIdentity, ReferenceVsNative) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    StrategyKindPrecisionDataflowGrid, BackendBitIdentity,
+    StrategyKindPrecisionSchedulingGrid, BackendBitIdentity,
     ::testing::Values(
         BackendCase{Strategy::Dense, lr::CompressionKind::Rrqr,
-                    TilePrecision::Fp64, core::Dataflow::Barrier},
+                    TilePrecision::Fp64, core::Scheduling::RightLooking},
         BackendCase{Strategy::Dense, lr::CompressionKind::Rrqr,
-                    TilePrecision::Fp64, core::Dataflow::Dag},
+                    TilePrecision::Fp64, core::Scheduling::LeftLooking},
         BackendCase{Strategy::JustInTime, lr::CompressionKind::Rrqr,
-                    TilePrecision::Fp64, core::Dataflow::Barrier},
+                    TilePrecision::Fp64, core::Scheduling::RightLooking},
         BackendCase{Strategy::JustInTime, lr::CompressionKind::Rrqr,
-                    TilePrecision::Fp64, core::Dataflow::Dag},
+                    TilePrecision::Fp64, core::Scheduling::LeftLooking},
         BackendCase{Strategy::JustInTime, lr::CompressionKind::Svd,
-                    TilePrecision::Fp64, core::Dataflow::Barrier},
+                    TilePrecision::Fp64, core::Scheduling::RightLooking},
         BackendCase{Strategy::JustInTime, lr::CompressionKind::Rrqr,
-                    TilePrecision::MixedTiles, core::Dataflow::Barrier},
+                    TilePrecision::MixedTiles, core::Scheduling::RightLooking},
         BackendCase{Strategy::JustInTime, lr::CompressionKind::Svd,
-                    TilePrecision::MixedTiles, core::Dataflow::Dag},
+                    TilePrecision::MixedTiles, core::Scheduling::LeftLooking},
         BackendCase{Strategy::MinimalMemory, lr::CompressionKind::Rrqr,
-                    TilePrecision::Fp64, core::Dataflow::Barrier},
+                    TilePrecision::Fp64, core::Scheduling::RightLooking},
         BackendCase{Strategy::MinimalMemory, lr::CompressionKind::Svd,
-                    TilePrecision::Fp64, core::Dataflow::Dag},
+                    TilePrecision::Fp64, core::Scheduling::LeftLooking},
         BackendCase{Strategy::MinimalMemory, lr::CompressionKind::Rrqr,
-                    TilePrecision::MixedTiles, core::Dataflow::Dag},
+                    TilePrecision::MixedTiles, core::Scheduling::LeftLooking},
         BackendCase{Strategy::Adaptive, lr::CompressionKind::Rrqr,
-                    TilePrecision::Fp64, core::Dataflow::Barrier},
+                    TilePrecision::Fp64, core::Scheduling::RightLooking},
         BackendCase{Strategy::Adaptive, lr::CompressionKind::Svd,
-                    TilePrecision::Fp64, core::Dataflow::Dag},
+                    TilePrecision::Fp64, core::Scheduling::LeftLooking},
         BackendCase{Strategy::Adaptive, lr::CompressionKind::Rrqr,
-                    TilePrecision::MixedTiles, core::Dataflow::Dag},
+                    TilePrecision::MixedTiles, core::Scheduling::LeftLooking},
         BackendCase{Strategy::Adaptive, lr::CompressionKind::Svd,
-                    TilePrecision::MixedTiles, core::Dataflow::Barrier}),
+                    TilePrecision::MixedTiles, core::Scheduling::RightLooking}),
     [](const auto& info) {
       std::string s = info.param.strategy == Strategy::Dense ? "Dense"
                       : info.param.strategy == Strategy::JustInTime ? "JIT"
@@ -456,7 +456,9 @@ INSTANTIATE_TEST_SUITE_P(
                           : "Adaptive";
       s += info.param.kind == lr::CompressionKind::Svd ? "Svd" : "Rrqr";
       s += info.param.precision == TilePrecision::MixedTiles ? "Mixed" : "Fp64";
-      s += info.param.dataflow == core::Dataflow::Dag ? "Dag" : "Barrier";
+      s += info.param.scheduling == core::Scheduling::LeftLooking
+               ? "LeftLooking"
+               : "Barrier";
       return s;
     });
 
@@ -472,7 +474,7 @@ TEST(BackendBitIdentity, PortableTierMatchesReference) {
   ASSERT_EQ(la::native_isa(), la::NativeIsa::Portable);
 
   const BackendCase c{Strategy::JustInTime, lr::CompressionKind::Rrqr,
-                      TilePrecision::Fp64, core::Dataflow::Barrier};
+                      TilePrecision::Fp64, core::Scheduling::RightLooking};
   const CscMatrix a = sparse::convection_diffusion_3d(7, 7, 7, 0.5);
 
   Solver ref(backend_opts(c, la::BackendChoice::Reference));
@@ -493,7 +495,7 @@ TEST(BackendEnvSolver, EnvOverridesSolverOptions) {
   ::setenv("BLR_BACKEND", "reference", 1);
 
   const BackendCase c{Strategy::JustInTime, lr::CompressionKind::Rrqr,
-                      TilePrecision::Fp64, core::Dataflow::Barrier};
+                      TilePrecision::Fp64, core::Scheduling::RightLooking};
   const CscMatrix a = sparse::convection_diffusion_3d(7, 7, 7, 0.5);
 
   Solver s(backend_opts(c, la::BackendChoice::Native));

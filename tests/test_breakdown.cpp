@@ -61,12 +61,12 @@ CscMatrix zero_row_col(const CscMatrix& a, index_t j0) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault kinds x {sequential, 4-thread work-stealing} x {barrier, DAG}
+// Fault kinds x {sequential, 4-thread work-stealing} x {right, left-looking}
 // ---------------------------------------------------------------------------
 
 struct Mode {
   int threads;
-  core::Dataflow dataflow;
+  core::Scheduling scheduling;
   Strategy strategy;  ///< the policy every fault fires under
 };
 
@@ -75,7 +75,7 @@ protected:
   SolverOptions opts_for_mode() {
     SolverOptions opts = small_opts();
     opts.threads = GetParam().threads;
-    opts.dataflow = GetParam().dataflow;
+    opts.scheduling = GetParam().scheduling;
     opts.strategy = GetParam().strategy;
     return opts;
   }
@@ -168,33 +168,50 @@ TEST_P(FaultModeTest, CompressionFailureIsStructured) {
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, FaultModeTest,
-    ::testing::Values(Mode{1, core::Dataflow::Barrier, Strategy::JustInTime},
-                      Mode{4, core::Dataflow::Barrier, Strategy::JustInTime},
-                      Mode{1, core::Dataflow::Dag, Strategy::JustInTime},
-                      Mode{4, core::Dataflow::Dag, Strategy::JustInTime}),
+    ::testing::Values(
+        Mode{1, core::Scheduling::RightLooking, Strategy::JustInTime},
+        Mode{4, core::Scheduling::RightLooking, Strategy::JustInTime},
+        Mode{1, core::Scheduling::LeftLooking, Strategy::JustInTime},
+        Mode{4, core::Scheduling::LeftLooking, Strategy::JustInTime}),
     [](const ::testing::TestParamInfo<Mode>& info) {
       std::string s =
           info.param.threads == 1 ? "Sequential" : "ParallelWorkStealing";
-      if (info.param.dataflow == core::Dataflow::Dag) s += "Dag";
+      if (info.param.scheduling == core::Scheduling::LeftLooking)
+        s += "LeftLooking";
       return s;
     });
 
+/// The supernode the scheduler starts first. Initially-ready leaves are
+/// submitted in ascending index order and the injection heap pops the
+/// highest critical-path priority (FIFO tie-break), so the first task is
+/// the priority argmax (a leaf: chain costs strictly decrease toward the
+/// root).
+index_t first_scheduled_supernode(const CscMatrix& a, SolverOptions opts) {
+  opts.threads = 1;
+  Solver probe(opts);
+  probe.analyze(a);
+  const auto& prio = probe.symbolic().critical_priorities();
+  return static_cast<index_t>(std::max_element(prio.begin(), prio.end()) -
+                              prio.begin());
+}
+
 // The structured report of a deterministic (sequential) breakdown must not
-// depend on the execution engine: the dataflow run replays the canonical
-// order, so every field matches the barrier run's report exactly.
-TEST(DagBreakdown, SequentialFaultReportsMatchBarrier) {
+// depend on the driver: the one-thread left-looking run visits supernodes
+// and compression sites in the barrier's order, so every field matches the
+// barrier run's report exactly.
+TEST(LeftLookingBreakdown, SequentialFaultReportsMatchBarrier) {
   const CscMatrix a = sparse::laplacian_3d(8, 8, 8);
   const FaultInjection::Kind kinds[] = {FaultInjection::Kind::TinyPivot,
                                         FaultInjection::Kind::PoisonBlock,
                                         FaultInjection::Kind::CompressionFail};
   for (const auto kind : kinds) {
     FailureReport reports[2];
-    for (const core::Dataflow df :
-         {core::Dataflow::Barrier, core::Dataflow::Dag}) {
+    for (const core::Scheduling sc :
+         {core::Scheduling::RightLooking, core::Scheduling::LeftLooking}) {
       SolverOptions opts = small_opts();
       opts.strategy = Strategy::JustInTime;
       opts.factorization = Factorization::Lu;
-      opts.dataflow = df;
+      opts.scheduling = sc;
       opts.fault.kind = kind;
       if (kind == FaultInjection::Kind::CompressionFail) {
         opts.fault.index = 2;  // third compression site
@@ -206,7 +223,7 @@ TEST(DagBreakdown, SequentialFaultReportsMatchBarrier) {
         solver.factorize(a);
         FAIL() << "expected NumericalError";
       } catch (const NumericalError& e) {
-        reports[df == core::Dataflow::Dag] = e.report();
+        reports[sc == core::Scheduling::LeftLooking] = e.report();
       }
       EXPECT_FALSE(solver.factorized());
     }
@@ -222,36 +239,39 @@ TEST(DagBreakdown, SequentialFaultReportsMatchBarrier) {
   }
 }
 
-// A mid-DAG breakdown must cancel everything still queued: no task body
+// A left-looking breakdown must cancel everything still queued: no pull
 // leaks past ThreadPool::cancel, the pool drains idle, and the very same
 // solver (same pool) factorizes cleanly afterwards.
-TEST(DagBreakdown, BreakdownCancelsOutstandingDagTasks) {
+TEST(LeftLookingBreakdown, BreakdownCancelsOutstandingPulls) {
   const CscMatrix a = sparse::laplacian_3d(12, 12, 12);
   SolverOptions opts = small_opts();
   opts.strategy = Strategy::JustInTime;
   opts.factorization = Factorization::Lu;
   opts.threads = 4;
-  opts.dataflow = core::Dataflow::Dag;
+  opts.scheduling = core::Scheduling::LeftLooking;
   opts.fault.kind = FaultInjection::Kind::TinyPivot;
-  opts.fault.supernode = 0;
+  opts.fault.supernode = first_scheduled_supernode(a, opts);
   Solver solver(opts);
 
   EXPECT_THROW(solver.factorize(a), NumericalError);
+  EXPECT_EQ(solver.pool_pending(), 0u);
   const SolverStats& st = solver.stats();
-  ASSERT_GT(st.dag_tasks, 0u);
-  // The failing Factor task stops the run: its subtree is never released
-  // (and anything already queued drains discarded), so far fewer bodies ran
-  // than exist. Whether the pool's queue held tasks at cancel time is a
-  // race, so the suppression is asserted on the release layer — some tasks
-  // were never enqueued at all — not on the discard counter.
-  EXPECT_LT(st.dag_executed, st.dag_tasks);
-  EXPECT_LT(st.dag_executed + st.scheduler_discarded, st.dag_tasks);
+  ASSERT_GT(st.num_cblks, 40) << "test matrix too small to be meaningful";
+  // The failing pull stops the run: the targets it would release are never
+  // submitted (and anything already queued drains discarded), so far fewer
+  // pulls ran than supernodes exist. Whether the pool's queue held tasks at
+  // cancel time is a race, so the suppression is asserted on the release
+  // layer — some pulls were never enqueued at all — not on the discard
+  // counter.
+  EXPECT_LT(st.scheduler_tasks, static_cast<std::uint64_t>(st.num_cblks) / 2);
+  EXPECT_LT(st.scheduler_tasks + st.scheduler_discarded,
+            static_cast<std::uint64_t>(st.num_cblks));
 
   // The pool survives: the consumed fault budget lets the same solver
-  // factorize and solve cleanly, with every DAG task running this time.
+  // factorize and solve cleanly, with no task discarded this time.
   solver.factorize(a);
   EXPECT_TRUE(solver.factorized());
-  EXPECT_EQ(solver.stats().dag_executed, solver.stats().dag_tasks);
+  EXPECT_EQ(solver.pool_pending(), 0u);
   EXPECT_EQ(solver.stats().scheduler_discarded, 0u);
   const auto b = random_rhs(a.rows(), 5);
   std::vector<real_t> x(b.size());
@@ -260,16 +280,17 @@ TEST(DagBreakdown, BreakdownCancelsOutstandingDagTasks) {
 }
 
 // The recovery ladder must behave identically when the failing attempt runs
-// as a DAG: same rung sequence, same effective configuration, same result.
-TEST(DagBreakdown, RecoveryLadderMatchesBarrier) {
+// left-looking: same rung sequence, same effective configuration, same
+// result.
+TEST(LeftLookingBreakdown, RecoveryLadderMatchesBarrier) {
   const CscMatrix a = negated(sparse::laplacian_3d(6, 6, 6));
   std::vector<SolverStats> stats;
-  for (const core::Dataflow df :
-       {core::Dataflow::Barrier, core::Dataflow::Dag}) {
+  for (const core::Scheduling sc :
+       {core::Scheduling::RightLooking, core::Scheduling::LeftLooking}) {
     SolverOptions opts = small_opts();
     opts.strategy = Strategy::JustInTime;
     opts.factorization = Factorization::Llt;
-    opts.dataflow = df;
+    opts.scheduling = sc;
     opts.recovery.enabled = true;  // default ladder
     Solver solver(opts);
     solver.factorize(a);
@@ -290,20 +311,6 @@ TEST(DagBreakdown, RecoveryLadderMatchesBarrier) {
 // ---------------------------------------------------------------------------
 // Cooperative cancellation
 // ---------------------------------------------------------------------------
-
-/// The supernode the scheduler starts first. Initially-ready leaves are
-/// submitted in ascending index order and the injection heap pops the
-/// highest critical-path priority (FIFO tie-break), so the first task is
-/// the priority argmax (a leaf: chain costs strictly decrease toward the
-/// root).
-index_t first_scheduled_supernode(const CscMatrix& a, SolverOptions opts) {
-  opts.threads = 1;
-  Solver probe(opts);
-  probe.analyze(a);
-  const auto& prio = probe.symbolic().critical_priorities();
-  return static_cast<index_t>(std::max_element(prio.begin(), prio.end()) -
-                              prio.begin());
-}
 
 TEST(CancellationTest, BreakdownCancelsOutstandingWork) {
   // Plenty of supernodes, one elimination task each (panel splitting off),

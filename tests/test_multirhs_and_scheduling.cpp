@@ -242,15 +242,16 @@ TEST(Trace, ParallelTraceCoversEveryCblkOnceWithoutWorkerOverlap) {
   }
 }
 
-// The dataflow engine records its one-event-per-supernode trace from the
-// Factor task; the same coverage and per-worker serialization invariants
-// must hold as under the barrier scheduler.
+// The left-looking fan-in records one event per supernode from its pull
+// task, stamped with the executing worker; the same coverage and
+// per-worker serialization invariants must hold as under the right-looking
+// scheduler.
 TEST(Trace, DagParallelTraceCoversEveryCblkOnceWithoutWorkerOverlap) {
   const CscMatrix a = sparse::laplacian_3d(8, 8, 8);
   SolverOptions o = demo_opts(Strategy::JustInTime);
   o.collect_trace = true;
   o.threads = 4;
-  o.dataflow = core::Dataflow::Dag;
+  o.scheduling = core::Scheduling::LeftLooking;
   Solver solver(o);
   solver.factorize(a);
   const auto& tr = solver.trace();
@@ -288,7 +289,7 @@ TEST(Trace, DisabledByDefaultAndLeftLookingWorks) {
   Solver s2(o);
   s2.factorize(a);
   EXPECT_EQ(static_cast<index_t>(s2.trace().size()), s2.stats().num_cblks);
-  // Left-looking is sequential: events must be ordered by supernode.
+  // One-thread left-looking pulls in ascending supernode order.
   for (std::size_t i = 1; i < s2.trace().size(); ++i)
     EXPECT_LT(s2.trace()[i - 1].cblk, s2.trace()[i].cblk);
 }

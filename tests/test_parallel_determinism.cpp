@@ -1,11 +1,13 @@
 // Parallel-vs-sequential agreement: for every strategy × factorization kind
 // on generator matrices, the parallel factorization (several thread counts,
-// panel splitting forced on) must reproduce the
-// sequential run's residual and storage within floating-point tolerance.
+// panel splitting forced on) must reproduce the sequential run's residual
+// and storage within floating-point tolerance — and the left-looking
+// schedule must reproduce it bit for bit.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "blr.hpp"
 
@@ -20,12 +22,13 @@ struct Case {
 };
 
 SolverOptions base_opts(const Case& c, int threads,
-                        core::Dataflow dataflow = core::Dataflow::Barrier) {
+                        core::Scheduling scheduling =
+                            core::Scheduling::RightLooking) {
   SolverOptions o;
   o.strategy = c.strategy;
   o.factorization = c.facto;
   o.threads = threads;
-  o.dataflow = dataflow;
+  o.scheduling = scheduling;
   // Small thresholds so the tiny test grids still produce low-rank blocks
   // and multi-blok panels; tiny split threshold so the panel-split subtask
   // path is exercised even at this scale.
@@ -45,12 +48,13 @@ CscMatrix matrix_for(Factorization f) {
 }
 
 real_t run_once(const CscMatrix& a, const SolverOptions& o,
-                std::size_t* entries) {
+                std::size_t* entries, std::vector<real_t>* x_out = nullptr) {
   Solver solver(o);
   solver.factorize(a);
   std::vector<real_t> b(static_cast<std::size_t>(a.rows()), 1.0);
   const auto x = solver.solve(b);
   *entries = solver.stats().factor_entries_final;
+  if (x_out != nullptr) *x_out = x;
   return sparse::backward_error(a, x.data(), b.data());
 }
 
@@ -88,29 +92,36 @@ TEST_P(ParallelDeterminism, MatchesSequentialRun) {
   }
 }
 
-// Dataflow runs are pinned harder than barrier runs: the per-tile write
-// chains make any Dag execution — the sequential in-order drain (1 thread)
-// or the work-stealing pool (2, 8 threads) — reproduce the sequential barrier result exactly, so the entry counts must
-// be EQUAL for every strategy (not within tolerance) and the residual must
-// match the sequential one to refinement accuracy.
+// Left-looking runs are pinned harder than barrier runs: each target
+// applies its incoming groups in canonical order inside its own pull, so
+// any left-looking execution — the sequential sweep (1 thread) or the
+// work-stealing pool (2, 8 threads) — reproduces the sequential barrier
+// result exactly: equal entry counts for every strategy (not within
+// tolerance) and a bit-identical solution. ("Dag" here is the fan-in: one
+// pull task per supernode, released by its incoming-group counter.)
 TEST_P(ParallelDeterminism, DagMatchesBarrierAcrossSchedulers) {
   const Case c = GetParam();
   const CscMatrix a = matrix_for(c.facto);
 
   std::size_t entries_seq = 0;
-  const real_t res_seq =
-      run_once(a, base_opts(c, 1), &entries_seq);
+  std::vector<real_t> x_seq;
+  const real_t res_seq = run_once(a, base_opts(c, 1), &entries_seq, &x_seq);
   ASSERT_LT(res_seq, 1e-6);
   ASSERT_GT(entries_seq, 0u);
 
   for (const int threads : {1, 2, 8}) {
-    std::size_t entries_dag = 0;
-    const real_t res_dag =
-        run_once(a, base_opts(c, threads, core::Dataflow::Dag), &entries_dag);
+    std::size_t entries_ll = 0;
+    std::vector<real_t> x_ll;
+    const real_t res_ll = run_once(
+        a, base_opts(c, threads, core::Scheduling::LeftLooking), &entries_ll,
+        &x_ll);
     // Identical factors ⇒ identical rank decisions ⇒ identical storage,
     // for compressed strategies too.
-    EXPECT_EQ(entries_dag, entries_seq) << "threads=" << threads;
-    EXPECT_LT(res_dag, std::max<real_t>(1e-10, 50 * res_seq))
+    EXPECT_EQ(entries_ll, entries_seq) << "threads=" << threads;
+    EXPECT_EQ(res_ll, res_seq) << "threads=" << threads;
+    ASSERT_EQ(x_ll.size(), x_seq.size());
+    EXPECT_EQ(0, std::memcmp(x_ll.data(), x_seq.data(),
+                             x_seq.size() * sizeof(real_t)))
         << "threads=" << threads;
   }
 }

@@ -6,8 +6,8 @@
 //    was rebuilt at group granularity, at every solve thread count and RHS
 //    width (so a change shared by the pooled and in-order drains is caught);
 //  - the pooled DAG drain is memcmp-identical to the in-order drain, across
-//    strategies, dataflow engines, precisions, solve thread counts and RHS
-//    widths;
+//    strategies, factorization schedules, precisions, solve thread counts
+//    and RHS widths;
 //  - the SolvePlan is built once per symbolic plan and replayed by every
 //    refactorize (plan_builds/plan_reuses counters), and has one task per
 //    supernode per sweep plus one per (supernode, facing supernode) group;
@@ -35,12 +35,13 @@ namespace {
 
 using namespace blr;
 using sparse::CscMatrix;
+using Sched = core::Scheduling;
 
-SolverOptions base_options(Strategy strategy, Dataflow dataflow,
+SolverOptions base_options(Strategy strategy, core::Scheduling scheduling,
                            TilePrecision precision, int threads) {
   SolverOptions o;
   o.strategy = strategy;
-  o.dataflow = dataflow;
+  o.scheduling = scheduling;
   o.precision = precision;
   o.threads = threads;
   o.tolerance = 1e-8;
@@ -150,10 +151,9 @@ TEST(SolveBitContract, MatchesPinnedHashes) {
       const bool is_lap = std::string(cfg.matrix) == "lap";
       const CscMatrix& a = is_lap ? lap : cd;
       const index_t n = a.rows();
-      SolverOptions o = base_options(cfg.strategy, Dataflow::Barrier,
+      SolverOptions o = base_options(cfg.strategy, Sched::RightLooking,
                                      cfg.precision, 1);
       o.factorization = is_lap ? Factorization::Llt : Factorization::Lu;
-      o.solve_parallel = solve_threads > 1;
       o.solve_threads = solve_threads;
       Solver solver(o);
       solver.factorize(a);
@@ -181,7 +181,7 @@ TEST(SolveBitContract, MatchesPinnedHashes) {
 
 struct SolveConfig {
   Strategy strategy;
-  Dataflow dataflow;
+  core::Scheduling scheduling;
   TilePrecision precision;
   int factor_threads;
   int solve_threads;
@@ -192,7 +192,8 @@ std::string config_name(const ::testing::TestParamInfo<SolveConfig>& info) {
   s.erase(std::remove_if(s.begin(), s.end(),
                          [](char c) { return c == ' ' || c == '-'; }),
           s.end());
-  s += info.param.dataflow == Dataflow::Dag ? "Dag" : "Barrier";
+  s += info.param.scheduling == core::Scheduling::LeftLooking ? "LeftLooking"
+                                                               : "Barrier";
   s += info.param.precision == TilePrecision::MixedTiles ? "Mixed" : "Fp64";
   s += "S" + std::to_string(info.param.solve_threads);
   return s;
@@ -207,11 +208,10 @@ TEST_P(ParallelSolveDeterminism, MatchesSequentialBitwise) {
   const CscMatrix a = sparse::laplacian_3d(10, 10, 10);
   const index_t n = a.rows();
 
-  SolverOptions seq_opts = base_options(cfg.strategy, cfg.dataflow,
+  SolverOptions seq_opts = base_options(cfg.strategy, cfg.scheduling,
                                         cfg.precision, cfg.factor_threads);
-  seq_opts.solve_parallel = false;
+  seq_opts.solve_threads = 1;
   SolverOptions par_opts = seq_opts;
-  par_opts.solve_parallel = true;
   par_opts.solve_threads = cfg.solve_threads;
 
   Solver seq(seq_opts);
@@ -249,17 +249,17 @@ TEST_P(ParallelSolveDeterminism, MatchesSequentialBitwise) {
 INSTANTIATE_TEST_SUITE_P(
     Grid, ParallelSolveDeterminism,
     ::testing::Values(
-        SolveConfig{Strategy::JustInTime, Dataflow::Barrier,
+        SolveConfig{Strategy::JustInTime, Sched::RightLooking,
                     TilePrecision::Fp64, 1, 2},
-        SolveConfig{Strategy::JustInTime, Dataflow::Dag,
+        SolveConfig{Strategy::JustInTime, Sched::LeftLooking,
                     TilePrecision::Fp64, 2, 8},
-        SolveConfig{Strategy::JustInTime, Dataflow::Dag,
+        SolveConfig{Strategy::JustInTime, Sched::LeftLooking,
                     TilePrecision::MixedTiles, 2, 2},
-        SolveConfig{Strategy::MinimalMemory, Dataflow::Barrier,
+        SolveConfig{Strategy::MinimalMemory, Sched::RightLooking,
                     TilePrecision::Fp64, 1, 8},
-        SolveConfig{Strategy::MinimalMemory, Dataflow::Dag,
+        SolveConfig{Strategy::MinimalMemory, Sched::LeftLooking,
                     TilePrecision::MixedTiles, 2, 8},
-        SolveConfig{Strategy::Adaptive, Dataflow::Barrier,
+        SolveConfig{Strategy::Adaptive, Sched::RightLooking,
                     TilePrecision::MixedTiles, 1, 2}),
     config_name);
 
@@ -268,7 +268,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(SolvePlanCache, BuiltOnceReusedAcrossRefactorize) {
   const CscMatrix a1 = sparse::laplacian_3d(8, 8, 8);
   const CscMatrix a2 = step_values(a1, 1.5, 0.3);
-  SolverOptions opts = base_options(Strategy::JustInTime, Dataflow::Barrier,
+  SolverOptions opts = base_options(Strategy::JustInTime, Sched::RightLooking,
                                     TilePrecision::Fp64, 1);
   opts.solve_threads = 2;
   Solver solver(opts);
@@ -306,7 +306,7 @@ TEST(SolvePlanCache, BuiltOnceReusedAcrossRefactorize) {
 TEST(WidenCache, BuiltOnFirstSolveInvalidatedByRefactorize) {
   const CscMatrix a1 = sparse::laplacian_3d(12, 12, 12);
   const CscMatrix a2 = step_values(a1, 1.5, 0.3);
-  SolverOptions opts = base_options(Strategy::MinimalMemory, Dataflow::Barrier,
+  SolverOptions opts = base_options(Strategy::MinimalMemory, Sched::RightLooking,
                                     TilePrecision::MixedTiles, 1);
   opts.solve_threads = 2;
   Solver solver(opts);
@@ -344,7 +344,7 @@ TEST(WidenCache, BuiltOnFirstSolveInvalidatedByRefactorize) {
 
 TEST(SolveDispatch, SolveKernelsCountedInKernelTable) {
   const CscMatrix a = sparse::laplacian_3d(12, 12, 12);
-  SolverOptions opts = base_options(Strategy::MinimalMemory, Dataflow::Barrier,
+  SolverOptions opts = base_options(Strategy::MinimalMemory, Sched::RightLooking,
                                     TilePrecision::MixedTiles, 1);
   opts.solve_threads = 2;
   Solver solver(opts);
@@ -372,7 +372,7 @@ TEST(SolveDispatch, SolveKernelsCountedInKernelTable) {
 // narrowest block that pays for the pool).
 TEST(SolveDispatch, OneDispatchPerTask) {
   const CscMatrix a = sparse::laplacian_3d(12, 12, 12);
-  SolverOptions opts = base_options(Strategy::JustInTime, Dataflow::Barrier,
+  SolverOptions opts = base_options(Strategy::JustInTime, Sched::RightLooking,
                                     TilePrecision::Fp64, 1);
   opts.solve_threads = 4;
   Solver solver(opts);
@@ -413,14 +413,14 @@ TEST(SolveDispatch, OneDispatchPerTask) {
 TEST(SessionParallelSolve, ConcurrentClientsBitIdenticalToSequential) {
   const CscMatrix a = sparse::laplacian_3d(10, 10, 10);
   const index_t n = a.rows();
-  SolverOptions opts = base_options(Strategy::JustInTime, Dataflow::Dag,
+  SolverOptions opts = base_options(Strategy::JustInTime, Sched::LeftLooking,
                                     TilePrecision::Fp64, 2);
   opts.solve_threads = 4;
 
   SolverOptions ref_opts = opts;
-  ref_opts.solve_parallel = false;
+  ref_opts.solve_threads = 1;
   ref_opts.threads = 1;
-  ref_opts.dataflow = Dataflow::Barrier;
+  ref_opts.scheduling = core::Scheduling::RightLooking;
 
   Session session(opts);
   session.refactorize(a);
@@ -472,7 +472,7 @@ TEST(SessionParallelSolve, ConcurrentClientsBitIdenticalToSequential) {
 TEST(SessionParallelSolve, EngineContentionFallsBackSequentially) {
   const CscMatrix a = sparse::laplacian_3d(8, 8, 8);
   const index_t n = a.rows();
-  SolverOptions opts = base_options(Strategy::JustInTime, Dataflow::Barrier,
+  SolverOptions opts = base_options(Strategy::JustInTime, Sched::RightLooking,
                                     TilePrecision::Fp64, 1);
   opts.solve_threads = 2;
   Solver solver(opts);

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstddef>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -143,12 +144,12 @@ TEST(TrackerBudget, ReportCarriesStructuredBreach) {
 
 // ---------------------------------------------------------------------------
 // Budget grid: tight-but-feasible and infeasible budgets across execution
-// modes (sequential / 4-thread work-stealing x Barrier / Dag)
+// modes (sequential / 4-thread work-stealing x right / left-looking)
 // ---------------------------------------------------------------------------
 
 struct GovMode {
   int threads;
-  core::Dataflow dataflow;
+  core::Scheduling scheduling;
   Strategy strategy;
 };
 
@@ -157,7 +158,7 @@ protected:
   SolverOptions opts_for_mode() {
     SolverOptions opts = small_opts();
     opts.threads = GetParam().threads;
-    opts.dataflow = GetParam().dataflow;
+    opts.scheduling = GetParam().scheduling;
     opts.strategy = GetParam().strategy;
     return opts;
   }
@@ -213,14 +214,17 @@ TEST_P(BudgetModeTest, InfeasibleBudgetFailsSoftlyAndSurvives) {
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, BudgetModeTest,
-    ::testing::Values(GovMode{1, core::Dataflow::Barrier, Strategy::JustInTime},
-                      GovMode{1, core::Dataflow::Dag, Strategy::JustInTime},
-                      GovMode{4, core::Dataflow::Barrier, Strategy::JustInTime},
-                      GovMode{4, core::Dataflow::Dag, Strategy::JustInTime}),
+    ::testing::Values(
+        GovMode{1, core::Scheduling::RightLooking, Strategy::JustInTime},
+        GovMode{1, core::Scheduling::LeftLooking, Strategy::JustInTime},
+        GovMode{4, core::Scheduling::RightLooking, Strategy::JustInTime},
+        GovMode{4, core::Scheduling::LeftLooking, Strategy::JustInTime}),
     [](const auto& info) {
       std::ostringstream os;
       os << (info.param.threads > 1 ? "ParWS" : "Seq")
-         << (info.param.dataflow == core::Dataflow::Dag ? "Dag" : "Barrier");
+         << (info.param.scheduling == core::Scheduling::LeftLooking
+                 ? "LeftLooking"
+                 : "Barrier");
       return os.str();
     });
 
@@ -258,31 +262,46 @@ TEST(BudgetRegime, BelowDenseAboveBlrSucceeds) {
 
 TEST(EngineScratch, ReleasedAfterColdAndWarmPasses) {
   const CscMatrix a = sparse::laplacian_3d(10, 10, 10);
-  SolverOptions opts = small_opts();
-  opts.strategy = Strategy::Dense;
-  opts.threads = 2;
-  opts.reuse_buffers = false;  // no pooled buffers: Workspace is scratch only
   const MemoryTracker& t = MemoryTracker::instance();
+  struct Run {
+    core::Scheduling scheduling;
+    int threads;
+  };
+  // The left-looking runs also hold the permuted input (Workspace) until
+  // their lazy assembly is over; it must not outlive the call either.
+  for (const Run r : {Run{core::Scheduling::RightLooking, 2},
+                      Run{core::Scheduling::LeftLooking, 1},
+                      Run{core::Scheduling::LeftLooking, 2}}) {
+    SCOPED_TRACE(std::string(r.scheduling == core::Scheduling::LeftLooking
+                                 ? "left-looking"
+                                 : "right-looking") +
+                 " threads=" + std::to_string(r.threads));
+    SolverOptions opts = small_opts();
+    opts.strategy = Strategy::Dense;
+    opts.scheduling = r.scheduling;
+    opts.threads = r.threads;
+    opts.reuse_buffers = false;  // no pooled buffers: Workspace is scratch only
 
-  Solver solver(opts);
-  solver.factorize(a);
-  // Every panel was packed into an image, so the Workspace peak covers at
-  // least the largest dense panel; none of it outlives the call.
-  std::size_t largest_panel = 0;
-  for (const symbolic::Cblk& c : solver.symbolic().cblks()) {
-    largest_panel = std::max(largest_panel,
-                             static_cast<std::size_t>(c.height()) *
-                                 static_cast<std::size_t>(c.width()) *
-                                 sizeof(real_t));
+    Solver solver(opts);
+    solver.factorize(a);
+    // Every panel was packed into an image, so the Workspace peak covers at
+    // least the largest dense panel; none of it outlives the call.
+    std::size_t largest_panel = 0;
+    for (const symbolic::Cblk& c : solver.symbolic().cblks()) {
+      largest_panel = std::max(largest_panel,
+                               static_cast<std::size_t>(c.height()) *
+                                   static_cast<std::size_t>(c.width()) *
+                                   sizeof(real_t));
+    }
+    ASSERT_GT(largest_panel, 0u);
+    EXPECT_GE(t.peak(MemCategory::Workspace), largest_panel);
+    EXPECT_EQ(t.current(MemCategory::Workspace), 0u);
+
+    solver.refactorize(a);
+    EXPECT_EQ(solver.stats().refactorizations, 1u);
+    EXPECT_GE(t.peak(MemCategory::Workspace), largest_panel);
+    EXPECT_EQ(t.current(MemCategory::Workspace), 0u);
   }
-  ASSERT_GT(largest_panel, 0u);
-  EXPECT_GE(t.peak(MemCategory::Workspace), largest_panel);
-  EXPECT_EQ(t.current(MemCategory::Workspace), 0u);
-
-  solver.refactorize(a);
-  EXPECT_EQ(solver.stats().refactorizations, 1u);
-  EXPECT_GE(t.peak(MemCategory::Workspace), largest_panel);
-  EXPECT_EQ(t.current(MemCategory::Workspace), 0u);
 }
 
 TEST(EngineScratch, BudgetJustAboveMeasuredPeakHolds) {
@@ -437,7 +456,9 @@ TEST(Deadline, ClockSkewDuringDagDrainsWithoutTaskLeak) {
   const CscMatrix a = sparse::laplacian_3d(10, 10, 10);
   SolverOptions opts = small_opts();
   opts.threads = 4;
-  opts.dataflow = core::Dataflow::Dag;
+  opts.scheduling = core::Scheduling::LeftLooking;
+  // Dense: no compression helper tasks, so every pool task is one pull.
+  opts.strategy = Strategy::Dense;
   opts.deadline_ms = 60'000;
   opts.fault.kind = FaultInjection::Kind::ClockSkew;
   opts.fault.supernode = 5;
@@ -445,18 +466,19 @@ TEST(Deadline, ClockSkewDuringDagDrainsWithoutTaskLeak) {
   Solver solver(opts);
   EXPECT_THROW(solver.factorize(a), ResourceError);
   EXPECT_FALSE(solver.factorized());
-  // Cooperative cancellation drained the DAG: nothing still queued, and the
-  // attempt record shows tasks discarded rather than leaked.
+  // Cooperative cancellation drained the pulls: nothing still queued, and
+  // the supernodes above the breach (the root at least) never ran.
   EXPECT_EQ(solver.pool_pending(), 0u);
   ASSERT_EQ(solver.stats().attempts.size(), 1u);
   const auto& at = solver.stats().attempts[0];
   EXPECT_TRUE(at.resource);
-  EXPECT_LT(at.dag_executed, at.dag_tasks);
+  EXPECT_LT(at.scheduler_tasks + at.scheduler_discarded,
+            static_cast<std::uint64_t>(solver.stats().num_cblks));
 
   // The pool is reusable after the drain.
   SolverOptions clean = small_opts();
   clean.threads = 4;
-  clean.dataflow = core::Dataflow::Dag;
+  clean.scheduling = core::Scheduling::LeftLooking;
   Solver retry(clean);
   retry.factorize(a);
   EXPECT_TRUE(retry.factorized());
@@ -580,9 +602,12 @@ TEST(ResourceLadder, ExhaustedLadderSurfacesStructuredFailure) {
 TEST(AttemptCounters, DagCountersArePerAttemptNotCumulative) {
   const CscMatrix a = sparse::laplacian_3d(8, 8, 8);
   SolverOptions opts = small_opts();
-  opts.dataflow = core::Dataflow::Dag;
+  opts.threads = 4;
+  opts.scheduling = core::Scheduling::LeftLooking;
+  // Dense: no compression helper tasks, so every pool task is one pull.
+  opts.strategy = Strategy::Dense;
   opts.fault.kind = FaultInjection::Kind::TinyPivot;
-  opts.fault.supernode = 1;  // early breakdown: most DAG tasks never run
+  opts.fault.supernode = 1;  // breakdown below the root: its pull never runs
   opts.recovery.enabled = true;
 
   Solver solver(opts);
@@ -590,12 +615,14 @@ TEST(AttemptCounters, DagCountersArePerAttemptNotCumulative) {
   ASSERT_TRUE(solver.factorized());
   const auto& attempts = solver.stats().attempts;
   ASSERT_EQ(attempts.size(), 2u);
-  // Attempt 0 was cancelled mid-DAG; attempt 1 ran the whole graph. Were the
-  // counters cumulative, attempt 1 would report ~2x the graph size.
-  EXPECT_GT(attempts[0].dag_tasks, 0u);
-  EXPECT_LT(attempts[0].dag_executed, attempts[0].dag_tasks);
-  EXPECT_EQ(attempts[1].dag_executed, attempts[1].dag_tasks);
-  EXPECT_EQ(attempts[1].dag_tasks, solver.stats().dag_tasks);
+  // Attempt 0 was cancelled before the root's pull; attempt 1 ran one pull
+  // per supernode. Were the counters cumulative, attempt 1 would report
+  // more than the supernode count.
+  const auto ncblks = static_cast<std::uint64_t>(solver.stats().num_cblks);
+  EXPECT_LT(attempts[0].scheduler_tasks, ncblks);
+  EXPECT_EQ(attempts[1].scheduler_tasks, ncblks);
+  EXPECT_EQ(attempts[1].scheduler_tasks, solver.stats().scheduler_tasks);
+  EXPECT_EQ(solver.pool_pending(), 0u);
   EXPECT_GT(attempts[0].peak_bytes, 0u);
   EXPECT_GT(attempts[1].peak_bytes, 0u);
 }

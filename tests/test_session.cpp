@@ -4,7 +4,7 @@
 //  - refactorize() produces the same answers as a cold factorize() of the
 //    same values — bitwise for the deterministic compression paths (Dense,
 //    RRQR), within the τ-based backward-error bound for the sketched ones —
-//    across strategies and both dataflow engines;
+//    across strategies and both schedules (right- and left-looking);
 //  - rank warm-starting is verify-and-grow: value changes that inflate
 //    ranks take the grow fallback instead of degrading accuracy;
 //  - a Session coalesces concurrent single-RHS solves into blocked
@@ -31,11 +31,11 @@ using namespace blr;
 using sparse::CscMatrix;
 
 SolverOptions small_problem_options(Strategy strategy, lr::CompressionKind kind,
-                                    Dataflow dataflow) {
+                                    core::Scheduling scheduling) {
   SolverOptions o;
   o.strategy = strategy;
   o.kind = kind;
-  o.dataflow = dataflow;
+  o.scheduling = scheduling;
   o.tolerance = 1e-8;
   // Small problem: lower the compressibility thresholds so the BLR machinery
   // actually engages.
@@ -71,7 +71,7 @@ CscMatrix step_values(const CscMatrix& a, real_t scale, real_t shift) {
 
 struct SessionConfig {
   Strategy strategy;
-  Dataflow dataflow;
+  core::Scheduling scheduling;
 };
 
 std::string config_name(const ::testing::TestParamInfo<SessionConfig>& info) {
@@ -79,7 +79,9 @@ std::string config_name(const ::testing::TestParamInfo<SessionConfig>& info) {
   s.erase(std::remove_if(s.begin(), s.end(),
                          [](char c) { return c == ' ' || c == '-'; }),
           s.end());
-  return s + (info.param.dataflow == Dataflow::Dag ? "Dag" : "Barrier");
+  return s + (info.param.scheduling == core::Scheduling::LeftLooking
+                  ? "LeftLooking"
+                  : "Barrier");
 }
 
 class RefactorizeParity : public ::testing::TestWithParam<SessionConfig> {};
@@ -93,7 +95,7 @@ TEST_P(RefactorizeParity, WarmMatchesColdBitwise) {
   const CscMatrix a2 = step_values(a1, 1.5, 0.3);
   SolverOptions opts =
       small_problem_options(cfg.strategy, lr::CompressionKind::Rrqr,
-                            cfg.dataflow);
+                            cfg.scheduling);
   // Dense-skip replays the previous pass's *final* tile states, and a block
   // that densified during extend-adds is then never re-attempted at assembly
   // — τ-accurate (dense is exact) but not bit-identical to a cold pass.
@@ -135,15 +137,16 @@ TEST_P(RefactorizeParity, WarmMatchesColdBitwise) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    StrategyDataflowGrid, RefactorizeParity,
-    ::testing::Values(SessionConfig{Strategy::Dense, Dataflow::Barrier},
-                      SessionConfig{Strategy::Dense, Dataflow::Dag},
-                      SessionConfig{Strategy::JustInTime, Dataflow::Barrier},
-                      SessionConfig{Strategy::JustInTime, Dataflow::Dag},
-                      SessionConfig{Strategy::MinimalMemory, Dataflow::Barrier},
-                      SessionConfig{Strategy::MinimalMemory, Dataflow::Dag},
-                      SessionConfig{Strategy::Adaptive, Dataflow::Barrier},
-                      SessionConfig{Strategy::Adaptive, Dataflow::Dag}),
+    StrategySchedulingGrid, RefactorizeParity,
+    ::testing::Values(
+        SessionConfig{Strategy::Dense, core::Scheduling::RightLooking},
+        SessionConfig{Strategy::Dense, core::Scheduling::LeftLooking},
+        SessionConfig{Strategy::JustInTime, core::Scheduling::RightLooking},
+        SessionConfig{Strategy::JustInTime, core::Scheduling::LeftLooking},
+        SessionConfig{Strategy::MinimalMemory, core::Scheduling::RightLooking},
+        SessionConfig{Strategy::MinimalMemory, core::Scheduling::LeftLooking},
+        SessionConfig{Strategy::Adaptive, core::Scheduling::RightLooking},
+        SessionConfig{Strategy::Adaptive, core::Scheduling::LeftLooking}),
     config_name);
 
 // The sketched compression paths (SVD warm-starts via a randomized sketch,
@@ -155,7 +158,7 @@ TEST(RefactorizeAccuracy, SketchedKindsMeetToleranceWarm) {
   for (const auto kind :
        {lr::CompressionKind::Svd, lr::CompressionKind::Randomized}) {
     SolverOptions opts = small_problem_options(Strategy::JustInTime, kind,
-                                               Dataflow::Barrier);
+                                               core::Scheduling::RightLooking);
     Solver warm(opts);
     warm.factorize(a1);
     warm.refactorize(a2);
@@ -175,7 +178,7 @@ TEST(RefactorizeAccuracy, DenseSkipStaysAccurate) {
   const CscMatrix a2 = step_values(a1, 1.5, 0.3);
   for (const auto strategy : {Strategy::MinimalMemory, Strategy::Adaptive}) {
     SolverOptions opts = small_problem_options(
-        strategy, lr::CompressionKind::Rrqr, Dataflow::Barrier);
+        strategy, lr::CompressionKind::Rrqr, core::Scheduling::RightLooking);
     ASSERT_TRUE(opts.warm_dense_skip);  // the default under test
     Solver warm(opts);
     warm.factorize(a1);
@@ -200,7 +203,8 @@ TEST(RefactorizeAccuracy, ValueChangeGrowsRanksNotError) {
   ASSERT_EQ(a1.nnz(), a2.nnz());  // same stencil, different values
 
   SolverOptions opts = small_problem_options(
-      Strategy::JustInTime, lr::CompressionKind::Rrqr, Dataflow::Barrier);
+      Strategy::JustInTime, lr::CompressionKind::Rrqr,
+      core::Scheduling::RightLooking);
   opts.warm_rank_slack = 0;
   opts.warm_dense_skip = false;  // rough blocks must re-attempt compression
   Solver solver(opts);
@@ -223,7 +227,7 @@ TEST(Refactorize, PatternMismatchThrows) {
   ASSERT_EQ(a1.rows(), b1.rows());
   Solver solver(small_problem_options(Strategy::JustInTime,
                                       lr::CompressionKind::Rrqr,
-                                      Dataflow::Barrier));
+                                      core::Scheduling::RightLooking));
   solver.factorize(a1);
   EXPECT_THROW(solver.refactorize(b1), blr::Error);
   // The pattern guard fired before any factor was touched.
@@ -234,7 +238,7 @@ TEST(Refactorize, BeforeAnalyzeActsAsColdFactorize) {
   const CscMatrix a = sparse::laplacian_3d(8, 8, 8);
   Solver solver(small_problem_options(Strategy::MinimalMemory,
                                       lr::CompressionKind::Rrqr,
-                                      Dataflow::Barrier));
+                                      core::Scheduling::RightLooking));
   solver.refactorize(a);
   EXPECT_TRUE(solver.factorized());
   EXPECT_EQ(solver.stats().refactorizations, 0u);  // it was a cold pass
@@ -263,7 +267,8 @@ TEST(NotFactorized, SolveBeforeFactorizeIsStructured) {
 TEST(NotFactorized, FailedFactorizeIsReportedBySolve) {
   const CscMatrix a = sparse::laplacian_3d(6, 6, 6);
   SolverOptions opts = small_problem_options(
-      Strategy::JustInTime, lr::CompressionKind::Rrqr, Dataflow::Barrier);
+      Strategy::JustInTime, lr::CompressionKind::Rrqr,
+      core::Scheduling::RightLooking);
   opts.fault.kind = core::FaultInjection::Kind::TinyPivot;
   opts.fault.supernode = 0;
   Solver solver(opts);
@@ -301,7 +306,7 @@ TEST(SessionTest, ServesAcrossSteps) {
   const CscMatrix a2 = step_values(a1, 2.0, 0.1);
   Session session(small_problem_options(Strategy::MinimalMemory,
                                         lr::CompressionKind::Rrqr,
-                                        Dataflow::Barrier));
+                                        core::Scheduling::RightLooking));
   session.refactorize(a1);
   EXPECT_EQ(session.epoch(), 1u);
   EXPECT_TRUE(session.serving());
@@ -328,7 +333,8 @@ TEST(SessionTest, ServesAcrossSteps) {
 TEST(SessionTest, ConcurrentSolvesMatchSerialBitwise) {
   const CscMatrix a = sparse::laplacian_3d(8, 8, 8);
   const SolverOptions opts = small_problem_options(
-      Strategy::JustInTime, lr::CompressionKind::Rrqr, Dataflow::Barrier);
+      Strategy::JustInTime, lr::CompressionKind::Rrqr,
+      core::Scheduling::RightLooking);
   const int kRequests = 16;
 
   // Serial reference.
@@ -372,7 +378,8 @@ TEST(SessionTest, SolvesDuringRefactorizeServeAConsistentEpoch) {
   const CscMatrix a2 = step_values(a1, 1.5, 0.2);
   const CscMatrix a3 = step_values(a1, 0.5, 0.7);
   SolverOptions opts = small_problem_options(
-      Strategy::MinimalMemory, lr::CompressionKind::Rrqr, Dataflow::Dag);
+      Strategy::MinimalMemory, lr::CompressionKind::Rrqr,
+      core::Scheduling::LeftLooking);
   // Bitwise comparison against cold references: see WarmMatchesColdBitwise.
   opts.warm_dense_skip = false;
   const std::vector<const CscMatrix*> steps = {&a1, &a2, &a3};
@@ -421,7 +428,8 @@ TEST(SessionTest, SolvesDuringRefactorizeServeAConsistentEpoch) {
 TEST(SessionTest, BufferPoolHitsWithConcurrentClients) {
   const CscMatrix a0 = sparse::laplacian_3d(8, 8, 8);
   SolverOptions opts = small_problem_options(
-      Strategy::JustInTime, lr::CompressionKind::Rrqr, Dataflow::Barrier);
+      Strategy::JustInTime, lr::CompressionKind::Rrqr,
+      core::Scheduling::RightLooking);
   ASSERT_TRUE(opts.reuse_buffers);
   Session session(opts);
   session.refactorize(a0);
@@ -460,7 +468,8 @@ TEST(SessionTest, BudgetBreachMidRefactorizeKeepsServing) {
   const CscMatrix a1 = sparse::laplacian_3d(8, 8, 8);
   const CscMatrix a2 = step_values(a1, 2.0, 0.1);
   SolverOptions opts = small_problem_options(
-      Strategy::JustInTime, lr::CompressionKind::Rrqr, Dataflow::Barrier);
+      Strategy::JustInTime, lr::CompressionKind::Rrqr,
+      core::Scheduling::RightLooking);
   // Injected budget breach aimed at the SECOND numeric pass: the first
   // arming opportunity is swallowed, the next pass arms and breaches.
   opts.fault.kind = core::FaultInjection::Kind::AllocFail;
